@@ -7,9 +7,11 @@ failure, 2 invalid request, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .bench import BenchConfig, ComparisonRow, render_table, run_benchmark
 from .config import (
     DEFAULT_SEED,
     GATE_ALPHA,
+    MAX_N,
     MOMENT_TOL_EXCESS_KURTOSIS,
     MOMENT_TOL_MEAN,
     MOMENT_TOL_SKEWNESS,
@@ -144,22 +147,35 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _timed(seconds: dict, key: str):
+    start = time.perf_counter()
+    yield
+    seconds[key] = time.perf_counter() - start
+
+
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     if args.n < VERIFY_MIN_N:
         print(f"verify needs --n >= {VERIFY_MIN_N}, got {args.n}",
               file=sys.stderr)
         return 2
+    if args.n > MAX_N:
+        print(f"verify needs --n <= {MAX_N}, got {args.n}", file=sys.stderr)
+        return 2
     if not args.force:
         require_sanctioned(args.source, args.sampler)
 
-    sampler = make_sampler(args.sampler)
-    source = make_source(args.source, seed)
-    deviates = _generate(sampler, source, args.n)
+    seconds = {}
+    with _timed(seconds, "generate"):
+        sampler = make_sampler(args.sampler)
+        source = make_source(args.source, seed)
+        deviates = _generate(sampler, source, args.n)
 
     # tolerances are pinned at n = 10^6 and relax as 1/sqrt(n) below it
     scale = max(1.0, (1_000_000 / args.n) ** 0.5)
-    summary = moments(deviates)
+    with _timed(seconds, "moments"):
+        summary = moments(deviates)
     moment_checks = {
         "mean": (abs(summary.mean), MOMENT_TOL_MEAN * scale),
         "variance": (abs(summary.variance - 1.0), MOMENT_TOL_VARIANCE * scale),
@@ -173,8 +189,10 @@ def cmd_verify(args) -> int:
     moments_doc["verdict"] = "pass" if moments_pass else "fail"
     moments_doc["seed"] = seed
 
-    ks = ks_test(deviates)
-    chi = chi_square_gof(deviates, equal_probability_edges(100))
+    with _timed(seconds, "ks"):
+        ks = ks_test(deviates)
+    with _timed(seconds, "chi_square_equal_prob_bins"):
+        chi = chi_square_gof(deviates, equal_probability_edges(100))
 
     reports = [
         moments_doc,
@@ -185,11 +203,12 @@ def cmd_verify(args) -> int:
     all_pass = moments_pass and ks.passes(GATE_ALPHA) and chi.passes(GATE_ALPHA)
 
     if args.sampler in ("ziggurat", "modified-ziggurat"):
-        occ_sampler = make_sampler(args.sampler)
-        occ_source = make_source(args.source, seed)
         n_occ = min(args.n, OCCUPANCY_CALLS)
-        _, counts = occ_sampler.sample_with_occupancy(occ_source, n_occ)
-        occ = uniform_counts_gof(counts)
+        with _timed(seconds, "layer_occupancy"):
+            occ_sampler = make_sampler(args.sampler)
+            occ_source = make_source(args.source, seed)
+            _, counts = occ_sampler.sample_with_occupancy(occ_source, n_occ)
+            occ = uniform_counts_gof(counts)
         reports.append(occ.to_json_dict("layer_occupancy", GATE_ALPHA,
                                         n=n_occ, seed=seed))
         all_pass = all_pass and occ.passes(GATE_ALPHA)
@@ -203,6 +222,7 @@ def cmd_verify(args) -> int:
         "sanctioned": is_sanctioned(args.source, args.sampler),
         "verdict": "pass" if all_pass else "fail",
         "reports": reports,
+        "seconds": seconds,
     }
     _write_output(json.dumps(bundle, indent=2), args.out)
     return 0 if all_pass else 1
@@ -212,6 +232,9 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     if args.n < 0:
         print(f"--n must be >= 0, got {args.n}", file=sys.stderr)
+        return 2
+    if args.n > MAX_N:
+        print(f"--n must be <= {MAX_N}, got {args.n}", file=sys.stderr)
         return 2
     if args.sigma < 0:
         print(f"--sigma must be >= 0, got {args.sigma}", file=sys.stderr)

@@ -5,7 +5,7 @@ import pytest
 
 from gausszig import tables_from_json
 from gausszig.cli import main
-from gausszig.config import DEFAULT_SEED
+from gausszig.config import DEFAULT_SEED, MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +58,12 @@ class TestSample:
         rc, _, _ = run_cli(capsys, "sample", "--source", "lcg48",
                            "--sampler", "polar", "--n", "-5")
         assert rc == 2
+
+    def test_n_above_limit_refused(self, capsys):
+        rc, _, err = run_cli(capsys, "sample", "--source", "lcg48",
+                             "--sampler", "polar", "--n", str(10**15))
+        assert rc == 2
+        assert str(MAX_N) in err
 
     def test_unwritable_output_is_io_error(self, capsys):
         rc, _, err = run_cli(capsys, "sample", "--source", "lcg48",
@@ -143,6 +149,10 @@ class TestVerify:
         tests = {r["test"] for r in doc["reports"]}
         assert {"moments", "ks", "chi_square_equal_prob_bins",
                 "layer_occupancy"} <= tests
+        assert set(doc["seconds"]) == {"generate", "moments", "ks",
+                                       "chi_square_equal_prob_bins",
+                                       "layer_occupancy"}
+        assert all(v >= 0.0 for v in doc["seconds"].values())
 
     def test_polar_bundle_has_no_occupancy(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--source", "lcg48",
@@ -155,6 +165,12 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "--source", "splitmix",
                            "--sampler", "ziggurat", "--n", "100")
         assert rc == 2
+
+    def test_n_above_limit_refused(self, capsys):
+        rc, _, err = run_cli(capsys, "verify", "--source", "splitmix",
+                             "--sampler", "ziggurat", "--n", str(10**15))
+        assert rc == 2
+        assert str(MAX_N) in err
 
     def test_unsanctioned_pairing_refused_without_force(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--source", "lcg48",

@@ -18,6 +18,7 @@ from gausszig import (
     normal_quantile,
 )
 from gausszig.stats import (
+    BLOCK,
     chi_square_sf,
     regularized_beta,
     regularized_gamma_q,
@@ -120,10 +121,13 @@ class TestMoments:
         assert abs(s.variance - 4.0 / 3.0) < 1e-15
 
     def test_constant_sample_degenerates_to_zero_shape(self):
-        s = moments([3.25] * 10)
-        assert s.variance == 0.0
-        assert s.skewness == 0.0
-        assert s.excess_kurtosis == 0.0
+        # 0.1 * 10 sums to 0.9999999999999999, so sum/n misses the constant
+        for value in (3.25, 0.1):
+            s = moments([value] * 10)
+            assert s.mean == value
+            assert s.variance == 0.0
+            assert s.skewness == 0.0
+            assert s.excess_kurtosis == 0.0
 
     def test_requires_four_samples(self):
         with pytest.raises(ValueError):
@@ -138,6 +142,20 @@ class TestMoments:
         assert abs(s.skewness - scipy_stats.skew(data)) < 1e-10
         assert abs(s.excess_kurtosis - scipy_stats.kurtosis(data)) < 1e-9
 
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_against_scipy_at_block_boundaries(self, n):
+        data = np.random.default_rng(n).gamma(2.0, size=n)
+        s = moments(data)
+        assert s.n == n
+        assert abs(s.mean - np.mean(data)) < 1e-12
+        assert abs(s.variance - np.var(data, ddof=1)) < 1e-10
+        assert abs(s.skewness - scipy_stats.skew(data)) < 1e-10
+        assert abs(s.excess_kurtosis - scipy_stats.kurtosis(data)) < 1e-9
+
+    def test_list_and_array_give_identical_summaries(self):
+        data = np.random.default_rng(13).normal(size=BLOCK + 3)
+        assert moments(data.tolist()) == moments(data)
+
     def test_one_pass_is_stable_under_large_offset(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=2000)
@@ -146,7 +164,53 @@ class TestMoments:
         assert abs(s.variance - np.var(shifted, ddof=1)) < 1e-6
 
 
+def ks_reference(samples):
+    """Per-element KS distance against the standard normal."""
+    xs = sorted(float(v) for v in samples)
+    n = len(xs)
+    d = 0.0
+    for i, v in enumerate(xs, start=1):
+        f = 0.5 * math.erfc(-v / math.sqrt(2.0))
+        d = max(d, i / n - f, f - (i - 1) / n)
+    return d
+
+
+def _engine_deviates(n):
+    from gausszig import engine, make_sampler, make_source
+
+    buf = np.empty(n, dtype=np.float64)
+    engine.fill_gaussians(make_sampler("ziggurat"),
+                          make_source("splitmix", 0x5EEDBA5E), buf)
+    return buf
+
+
+KS_CASES = {
+    "engine_1e5": lambda: _engine_deviates(100_000),
+    "shifted_normal": lambda: np.random.default_rng(31).normal(0.3, 1.2, 20_000),
+    # every index's gap is ~0.5/n, so every index is a near-tie
+    "quantile_grid": lambda: [normal_quantile((i - 0.5) / 2000)
+                              for i in range(1, 2001)],
+    "beyond_8_sigma": lambda: np.concatenate([
+        np.random.default_rng(37).normal(size=500),
+        [-30.0, -9.5, -8.25, 8.1, 9.0, 12.0, 40.0]]),
+    "heavy_ties": lambda: [0.0] * 4 + [1.0] * 4,
+    "single_point": lambda: [0.7],
+    "block_minus_1": lambda: np.random.default_rng(41).normal(size=BLOCK - 1),
+    "block_plus_1": lambda: np.random.default_rng(43).normal(size=BLOCK + 1),
+}
+
+
 class TestKs:
+    @pytest.mark.parametrize("case", sorted(KS_CASES))
+    def test_bit_identical_to_per_element_reference(self, case):
+        samples = KS_CASES[case]()
+        assert ks_test(samples).d_statistic == ks_reference(samples)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            ks_test([0.1, bad, -0.3, 0.5])
+
     def test_single_point_at_zero(self):
         rep = ks_test([0.0])
         assert rep.d_statistic == 0.5

@@ -50,6 +50,9 @@ from .tables import build_ziggurat_tables, tables_to_json
 #: occupancy gates use at most this many calls (python-path instrumentation)
 OCCUPANCY_CALLS = 100_000
 
+#: deviates generated and written per block by `sample`
+SAMPLE_BLOCK = 1 << 16
+
 
 def _parse_seed(text: str) -> int:
     if text == "random":
@@ -69,14 +72,18 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _open_output(out_path):
+    """The --out file opened for writing, or stdout (left open on exit)."""
+    if out_path:
+        return open(out_path, "w")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _write_output(text: str, out_path) -> None:
     if text and not text.endswith("\n"):
         text += "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(out_path) as fh:
+        fh.write(text)
 
 
 def _generate(sampler, source, n: int) -> np.ndarray:
@@ -241,11 +248,18 @@ def cmd_sample(args) -> int:
         return 2
     sampler = make_sampler(args.sampler)
     source = make_source(args.source, seed)
-    deviates = _generate(sampler, source, args.n)
-    if args.mu != 0.0 or args.sigma != 1.0:
-        deviates = args.mu + args.sigma * deviates
-    text = "\n".join(format(x, ".17g") for x in deviates)
-    _write_output(text if text else "", args.out)
+    affine = args.mu != 0.0 or args.sigma != 1.0
+    # the engine leaves the source where one-shot generation would, so
+    # block-by-block fills write the same bytes as one fill of n
+    with _open_output(args.out) as fh:
+        block = np.empty(min(args.n, SAMPLE_BLOCK), dtype=np.float64)
+        for done in range(0, args.n, SAMPLE_BLOCK):
+            k = min(SAMPLE_BLOCK, args.n - done)
+            deviates = block[:k]
+            engine.fill_gaussians(sampler, source, deviates)
+            if affine:
+                deviates = args.mu + args.sigma * deviates
+            fh.write("%.17g\n" * k % tuple(deviates.tolist()))
     return 0
 
 
@@ -261,6 +275,9 @@ def cmd_tables(args) -> int:
 
 def cmd_bits(args) -> int:
     seed = _resolve_seed(args)
+    if args.n is not None and args.n > MAX_N:
+        print(f"--n must be <= {MAX_N}, got {args.n}", file=sys.stderr)
+        return 2
     if args.source == "scripted":
         if not args.script:
             print("--source scripted requires --script PATH", file=sys.stderr)

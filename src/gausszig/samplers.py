@@ -66,10 +66,6 @@ class GaussianSampler(abc.ABC):
     def next_gaussian(self, src: UniformSource) -> float:
         """Return one N(0, 1) deviate, consuming draws from src."""
 
-    def sample(self, src: UniformSource, n: int) -> list:
-        """Return n deviates as a list (reference per-call path)."""
-        return [self.next_gaussian(src) for _ in range(n)]
-
 
 class ZigguratSampler(GaussianSampler):
     """Original (GSL-style) ziggurat; index and sign from the high bits."""

@@ -391,7 +391,11 @@ def uniform_counts_gof(counts) -> GofReport:
 
 
 def low_bits_chi_square(src: UniformSource, k_bits: int, n: int) -> GofReport:
-    """Frequency chi-square of the low k bits of n u64 draws vs uniform."""
+    """Frequency chi-square of the low k bits of n u64 draws vs uniform.
+
+    Supported sources are drawn and counted engine.BLOCK words at a time,
+    so memory does not grow with n.
+    """
     if not 1 <= k_bits <= 8:
         raise ValueError(f"k_bits must be in 1..8, got {k_bits}")
     cells = 1 << k_bits
@@ -400,13 +404,15 @@ def low_bits_chi_square(src: UniformSource, k_bits: int, n: int) -> GofReport:
     from . import engine
 
     mask = cells - 1
+    counts = np.zeros(cells, dtype=np.int64)
     if engine.supports(src):
-        buf = np.empty(n, dtype=np.uint64)
-        engine.fill_u64(src, buf)
-        counts = np.bincount((buf & np.uint64(mask)).astype(np.int64),
-                             minlength=cells)
+        buf = np.empty(min(n, engine.BLOCK), dtype=np.uint64)
+        for done in range(0, n, engine.BLOCK):
+            words = buf[:min(engine.BLOCK, n - done)]
+            engine.fill_u64(src, words)
+            counts += np.bincount((words & np.uint64(mask)).astype(np.int64),
+                                  minlength=cells)
     else:
-        counts = np.zeros(cells, dtype=np.int64)
         for _ in range(n):
             counts[src.next_u64() & mask] += 1
     return uniform_counts_gof(counts)

@@ -1,10 +1,12 @@
+import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gausszig import tables_from_json
-from gausszig.cli import main
+from gausszig import make_sampler, make_source, tables_from_json
+from gausszig.cli import SAMPLE_BLOCK, main
 from gausszig.config import DEFAULT_SEED, MAX_N
 
 
@@ -12,6 +14,26 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@functools.cache
+def per_call_stream(source_id, sampler_id, seed, n):
+    """n deviates from fresh objects through the per-call reference path."""
+    sampler = make_sampler(sampler_id)
+    source = make_source(source_id, seed)
+    return np.array([sampler.next_gaussian(source) for _ in range(n)])
+
+
+def first_difference(text, expected):
+    """Index of the first line where text departs from expected, else None.
+
+    Cheap to report on megabyte outputs, where a full assertion diff is not.
+    """
+    if text == expected:
+        return None
+    pairs = zip(text.splitlines(True), expected.splitlines(True))
+    return next((j for j, (a, b) in enumerate(pairs) if a != b),
+                f"{len(text)} vs {len(expected)} chars")
 
 
 class TestSample:
@@ -64,6 +86,45 @@ class TestSample:
                              "--sampler", "polar", "--n", str(10**15))
         assert rc == 2
         assert str(MAX_N) in err
+
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                   SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3])
+    @pytest.mark.parametrize("source_id,sampler_id",
+                             [("splitmix", "ziggurat"), ("lcg48", "polar")])
+    @pytest.mark.parametrize("affine", [(), ("--mu", "5", "--sigma", "2")])
+    def test_streamed_output_matches_per_call_reference(
+            self, capsys, tmp_path, n, source_id, sampler_id, affine):
+        ref = per_call_stream(source_id, sampler_id, 7,
+                              2 * SAMPLE_BLOCK + 3)[:n]
+        if affine:
+            ref = 5.0 + 2.0 * ref
+        expected = "".join(format(x, ".17g") + "\n" for x in ref)
+        argv = ["sample", "--source", source_id, "--sampler", sampler_id,
+                "--seed", "7", "--n", str(n), *affine]
+        out = tmp_path / "x.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert first_difference(out.read_text(), expected) is None
+        rc, stdout, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert first_difference(stdout, expected) is None
+        if not affine:
+            reloaded = np.array([float(line) for line in stdout.splitlines()])
+            assert np.array_equal(reloaded.view(np.uint64),
+                                  ref.view(np.uint64))
+
+    def test_memory_does_not_grow_with_n(self, tmp_path):
+        argv = ["sample", "--source", "splitmix", "--sampler", "ziggurat",
+                "--out", str(tmp_path / "x.txt"), "--n"]
+        assert main(argv + ["1000"]) == 0  # fills the engine's caches
+        peaks = []
+        for n in (SAMPLE_BLOCK, 4 * SAMPLE_BLOCK):
+            tracemalloc.start()
+            try:
+                assert main(argv + [str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_unwritable_output_is_io_error(self, capsys):
         rc, _, err = run_cli(capsys, "sample", "--source", "lcg48",
@@ -137,6 +198,12 @@ class TestBits:
         rc, _, _ = run_cli(capsys, "bits", "--source", "splitmix",
                            "--k", "8", "--n", "100")
         assert rc == 2
+
+    def test_n_above_limit_refused(self, capsys):
+        rc, _, err = run_cli(capsys, "bits", "--source", "lcg48",
+                             "--k", "1", "--n", str(10**15))
+        assert rc == 2
+        assert str(MAX_N) in err
 
 
 class TestVerify:

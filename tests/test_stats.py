@@ -321,6 +321,19 @@ class TestLowBits:
         rep_engine = low_bits_chi_square(SplitMix64(0x1DEA), 8, n)
         assert rep_script.statistic == rep_engine.statistic
 
+    @pytest.mark.parametrize("make", [SplitMix64, Lcg48])
+    def test_blocked_counts_match_per_call_reference(self, make):
+        from gausszig import engine
+
+        n = 3 * engine.BLOCK + 5
+        ref_src = make(0x1DEA)
+        counts = np.zeros(256, dtype=np.int64)
+        for _ in range(n):
+            counts[ref_src.next_u64() & 0xFF] += 1
+        src = make(0x1DEA)
+        assert low_bits_chi_square(src, 8, n) == uniform_counts_gof(counts)
+        assert src.state == ref_src.state
+
 
 class TestMomentTolerancesAtScale:
     def test_million_deviate_moments_meet_all_four_bounds(self):

@@ -197,21 +197,16 @@ def run_benchmark(sampler_id: str, source_id: str,
 
     buf = np.empty(BATCH_OPS, dtype=np.float64)
 
-    def fill(sampler, source):
+    def fill(sampler, source, out):
         if use_engine:
-            engine.fill_gaussians(sampler, source, buf)
+            engine.fill_gaussians(sampler, source, out)
         else:
-            for j in range(BATCH_OPS):
-                buf[j] = sampler.next_gaussian(source)
+            for j in range(out.shape[0]):
+                out[j] = sampler.next_gaussian(source)
 
     # deterministic checksum witness, outside the timed phase
-    sampler, source = _fresh_pair(sampler_id, source_id, cfg.seed)
     witness = np.empty(WITNESS_OPS, dtype=np.float64)
-    if use_engine:
-        engine.fill_gaussians(sampler, source, witness)
-    else:
-        for j in range(WITNESS_OPS):
-            witness[j] = sampler.next_gaussian(source)
+    fill(*_fresh_pair(sampler_id, source_id, cfg.seed), witness)
     checksum = _checksum_fold(witness)
 
     # warmup on throwaway state (builds the engine's cached arrays)
@@ -219,7 +214,7 @@ def run_benchmark(sampler_id: str, source_id: str,
     for _ in range(cfg.warmup_iters):
         t_end = time.perf_counter() + cfg.warmup_secs
         while time.perf_counter() < t_end:
-            fill(sampler, source)
+            fill(sampler, source, buf)
 
     # measurement from a fresh seed-determined stream
     sampler, source = _fresh_pair(sampler_id, source_id, cfg.seed)
@@ -232,7 +227,7 @@ def run_benchmark(sampler_id: str, source_id: str,
         t_end = time.perf_counter() + cfg.measure_secs
         while True:
             t0 = time.perf_counter_ns()
-            fill(sampler, source)
+            fill(sampler, source, buf)
             iter_ns += time.perf_counter_ns() - t0
             iter_ops += BATCH_OPS
             elision_guard ^= _checksum_fold(buf)

@@ -32,7 +32,6 @@ from . import sources
 from .samplers import (
     LOOP_GUARD,
     GaussianSampler,
-    ModifiedZigguratSampler,
     PolarSampler,
     RejectionLoopExceeded,
     ZigguratSampler,
@@ -176,20 +175,20 @@ def _table_arrays(tables):
     return hit[1], hit[2]
 
 
-def _fast_path(sampler, w: np.ndarray):
+def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     """(values, fast): each word's fast-path deviate, and where it applies.
 
-    Both layouts keep the sign bit just above the layer index, so one shift
-    or mask yields sign*n + layer. m * -wtab[i] == -(m * wtab[i]) exactly.
+    The shifts and masks are the sampler's own, so the engine knows neither
+    layout. The sign bit sits just above the layer index in both, so
+    ``(w >> idx_shift) & (2n - 1)`` is sign*n + layer, which indexes the
+    doubled tables. m * -wtab[i] == -(m * wtab[i]) exactly.
     """
     t = sampler.tables
     ktab, wtab = _table_arrays(t)
-    if isinstance(sampler, ZigguratSampler):
-        idx = w >> np.uint64(63 - t.index_bits)
-        m = w & np.uint64((1 << t.mantissa_bits) - 1)
-    else:
-        idx = w & np.uint64(2 * t.n - 1)
-        m = w >> np.uint64(t.index_bits + 1)
+    idx = w >> sampler.idx_shift
+    idx &= 2 * t.n - 1
+    m = w >> sampler.m_shift
+    m &= sampler.m_mask
     idx = idx.astype(np.intp)
     fast = m < ktab[idx]
     x = m.astype(np.float64)
@@ -313,15 +312,8 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
         return
     if isinstance(sampler, PolarSampler):
         _fill_polar(sampler, source, out)
-    elif isinstance(sampler, (ZigguratSampler, ModifiedZigguratSampler)):
+    elif isinstance(sampler, ZigguratSampler):
         _fill_ziggurat(sampler, source, out)
     else:
         raise TypeError(f"no engine path for sampler {sampler.algorithm_id!r}")
 
-
-def warm_up(sampler: GaussianSampler, source_id: str) -> None:
-    """Build the cached arrays a fill of this pairing uses, outside any timer."""
-    if isinstance(sampler, (ZigguratSampler, ModifiedZigguratSampler)):
-        _table_arrays(sampler.tables)
-    if source_id == "lcg48":
-        _lcg_tables()

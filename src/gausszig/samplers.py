@@ -1,15 +1,16 @@
 """The three standard-normal samplers, all driven by a caller-supplied source.
 
-Two ziggurat variants share the table machinery but differ in where they read
-the layer index from one 64-bit draw:
+One ziggurat class serves both of the paper's variants. Each attempt reads
+one 64-bit word; the tables, the wedge test, the tail and the occupancy
+count are shared, and only the bit layout of the word differs:
 
-* original ziggurat: sign bit 63, index in the HIGH bits (62 down), mantissa
-  below. Layer selection never touches low-order bits, so any uniform source
-  is safe, including the LCG.
-* modified ziggurat: index in the LOW bits, sign just above it, mantissa in
-  the remaining high bits. The common fast path costs exactly one draw, but
-  layer selection inherits whatever structure the source's low bits carry,
-  so the LCG pairing is refused.
+* high layout (``ziggurat``, 128 layers): sign bit 63, index in the HIGH
+  bits (62 down), mantissa below. Layer selection never touches low-order
+  bits, so any uniform source is safe, including the LCG.
+* low layout (``modified-ziggurat``, 256 layers): index in the LOW bits,
+  sign just above it, mantissa in the remaining high bits. The common fast
+  path costs exactly one draw, but layer selection inherits whatever
+  structure the source's low bits carry, so the LCG pairing is refused.
 
 The polar method is the classic two-at-a-time disk rejection with a cached
 spare deviate.
@@ -25,8 +26,6 @@ from .tables import ZigguratTables, build_ziggurat_tables
 
 #: rejection-loop iteration cap; tripping it means the source is broken
 LOOP_GUARD = 1_000_000
-
-_UNIT_SCALE = 1.1102230246251565e-16  # 2^-53
 
 
 class RejectionLoopExceeded(RuntimeError):
@@ -68,16 +67,33 @@ class GaussianSampler(abc.ABC):
 
 
 class ZigguratSampler(GaussianSampler):
-    """Original (GSL-style) ziggurat; index and sign from the high bits."""
+    """Ziggurat reading one 64-bit word per attempt, in the high layout.
+
+    A subclass takes the low layout by setting ``low_bit_layout``. The
+    layout becomes ``idx_shift``, ``sign_bit``, ``m_shift`` and ``m_mask``,
+    which the per-call draw and the batch engine both read. In both layouts
+    the sign bit sits just above the index, so ``(u >> idx_shift) & (2n-1)``
+    is sign*n + layer.
+    """
 
     algorithm_id = "ziggurat"
+    default_layers = 128
+    low_bit_layout = False
 
     def __init__(self, tables: ZigguratTables | None = None):
-        self.tables = tables if tables is not None else build_ziggurat_tables(128)
-        t = self.tables
-        self._idx_shift = 63 - t.index_bits
-        self._idx_mask = t.n - 1
-        self._m_mask = (1 << t.mantissa_bits) - 1
+        if tables is None:
+            tables = build_ziggurat_tables(self.default_layers)
+        self.tables = tables
+        b = tables.index_bits
+        if self.low_bit_layout:
+            self.idx_shift, self.sign_bit, self.m_shift = 0, b, b + 1
+        else:
+            self.idx_shift, self.sign_bit, self.m_shift = 63 - b, 63, 0
+        self.m_mask = (1 << tables.mantissa_bits) - 1
+        # unpacked once per draw: one load in place of nine keeps it fast
+        self._draw_args = (tables.ktab, tables.wtab, tables.ytab, tables.r,
+                           tables.n - 1, self.idx_shift, self.sign_bit,
+                           self.m_shift, self.m_mask)
 
     def next_gaussian(self, src: UniformSource) -> float:
         return self._draw(src, None)
@@ -89,76 +105,35 @@ class ZigguratSampler(GaussianSampler):
         return out, counts
 
     def _draw(self, src: UniformSource, counts) -> float:
-        t = self.tables
-        ktab, wtab, ytab, r = t.ktab, t.wtab, t.ytab, t.r
-        idx_shift, idx_mask, m_mask = self._idx_shift, self._idx_mask, self._m_mask
+        (ktab, wtab, ytab, r, idx_mask,
+         idx_shift, sign_bit, m_shift, m_mask) = self._draw_args
         for _ in range(LOOP_GUARD):
             u = src.next_u64()
             i = (u >> idx_shift) & idx_mask
-            m = u & m_mask
+            m = (u >> m_shift) & m_mask
             if counts is not None:
                 counts[i] += 1
             if m < ktab[i]:
                 x = m * wtab[i]
-                return x if u >> 63 == 0 else -x
-            if i == 0:
+            elif i == 0:
                 x = tail_sample(src, r)
-                return x if u >> 63 == 0 else -x
-            x = m * wtab[i]
-            y = ytab[i] + src.next_f64_unit() * (ytab[i + 1] - ytab[i])
-            if y < math.exp(-0.5 * x * x):
-                return x if u >> 63 == 0 else -x
-        raise RejectionLoopExceeded("ziggurat exceeded its iteration guard")
+            else:
+                x = m * wtab[i]
+                y = ytab[i] + src.next_f64_unit() * (ytab[i + 1] - ytab[i])
+                if not y < math.exp(-0.5 * x * x):
+                    continue
+            return -x if (u >> sign_bit) & 1 else x
+        raise RejectionLoopExceeded(
+            f"{self.algorithm_id} exceeded its iteration guard")
 
 
-class ModifiedZigguratSampler(GaussianSampler):
-    """Single-draw-fast-path ziggurat; index from the LOW bits of the draw.
-
-    Identical in law to the original ziggurat. The fast path consumes exactly
-    one u64; the rare overhang/tail paths draw more and use the exact density
-    for acceptance. Requires full-quality low-order bits from the source.
-    """
+class ModifiedZigguratSampler(ZigguratSampler):
+    """The ziggurat in the low layout: the fast path costs exactly one draw,
+    but layer selection needs full-quality low-order bits from the source."""
 
     algorithm_id = "modified-ziggurat"
-
-    def __init__(self, tables: ZigguratTables | None = None):
-        self.tables = tables if tables is not None else build_ziggurat_tables(256)
-        t = self.tables
-        self._idx_mask = t.n - 1
-        self._sign_bit = t.index_bits
-        self._m_shift = t.index_bits + 1
-
-    def next_gaussian(self, src: UniformSource) -> float:
-        return self._draw(src, None)
-
-    def sample_with_occupancy(self, src: UniformSource, n_calls: int):
-        """Return (deviates, per-layer selection counts over all iterations)."""
-        counts = [0] * self.tables.n
-        out = [self._draw(src, counts) for _ in range(n_calls)]
-        return out, counts
-
-    def _draw(self, src: UniformSource, counts) -> float:
-        t = self.tables
-        ktab, wtab, ytab, r = t.ktab, t.wtab, t.ytab, t.r
-        idx_mask, sign_bit, m_shift = self._idx_mask, self._sign_bit, self._m_shift
-        for _ in range(LOOP_GUARD):
-            u = src.next_u64()
-            i = u & idx_mask
-            m = u >> m_shift
-            if counts is not None:
-                counts[i] += 1
-            negative = (u >> sign_bit) & 1
-            if m < ktab[i]:
-                x = m * wtab[i]
-                return -x if negative else x
-            if i == 0:
-                x = tail_sample(src, r)
-                return -x if negative else x
-            x = m * wtab[i]
-            y = ytab[i] + src.next_f64_unit() * (ytab[i + 1] - ytab[i])
-            if y < math.exp(-0.5 * x * x):
-                return -x if negative else x
-        raise RejectionLoopExceeded("modified ziggurat exceeded its iteration guard")
+    default_layers = 256
+    low_bit_layout = True
 
 
 class PolarSampler(GaussianSampler):
@@ -224,10 +199,7 @@ def make_sampler(sampler_id: str, layers: int | None = None) -> GaussianSampler:
         if layers is not None:
             raise ValueError("polar sampler takes no layer count")
         return PolarSampler()
-    if sampler_id == "ziggurat":
-        tables = build_ziggurat_tables(layers) if layers else None
-        return ZigguratSampler(tables)
-    if sampler_id == "modified-ziggurat":
-        tables = build_ziggurat_tables(layers) if layers else None
-        return ModifiedZigguratSampler(tables)
+    for cls in (ZigguratSampler, ModifiedZigguratSampler):
+        if sampler_id == cls.algorithm_id:
+            return cls(None if layers is None else build_ziggurat_tables(layers))
     raise ValueError(f"unknown sampler id: {sampler_id!r}")

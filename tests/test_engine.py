@@ -143,8 +143,3 @@ def test_supports_reports_capability():
     assert engine.supports(make_source("lcg48", 0))
     assert engine.supports(make_source("splitmix", 0))
     assert not engine.supports(ScriptedSource([1, 2, 3]))
-
-
-def test_warm_up_compiles_without_side_effects():
-    sampler = make_sampler("modified-ziggurat")
-    engine.warm_up(sampler, "splitmix")

@@ -7,6 +7,7 @@ from gausszig import (
     ModifiedZigguratSampler,
     PolarSampler,
     RejectionLoopExceeded,
+    ScriptExhausted,
     ScriptedSource,
     SplitMix64,
     UnsanctionedPairing,
@@ -25,6 +26,23 @@ from conftest import CountingSource
 def unit_word(u: float) -> int:
     """Script word whose next_f64_unit is u quantized to the 53-bit grid."""
     return round(u * (1 << 53)) << 11
+
+
+def high_layout_word(t, i: int, m: int) -> int:
+    """Positive ziggurat word: layer i just below sign bit 63, mantissa m below."""
+    return (i << (63 - t.index_bits)) | m
+
+
+def low_layout_word(t, i: int, m: int) -> int:
+    """Positive modified-ziggurat word: layer i low, mantissa m above the sign."""
+    return i | (m << (t.index_bits + 1))
+
+
+#: (sampler class, tables fixture, word builder) for each bit layout
+LAYOUTS = pytest.mark.parametrize("cls,tables_name,word", [
+    pytest.param(ZigguratSampler, "tables128", high_layout_word, id="high"),
+    pytest.param(ModifiedZigguratSampler, "tables256", low_layout_word, id="low"),
+])
 
 
 class TestTailSample:
@@ -192,19 +210,24 @@ class TestZiggurat:
             single += counter.draws - before == 1
         assert single / calls >= 0.97
 
-    def test_occupancy_counts_sum_to_selections(self, tables128):
-        z = ZigguratSampler(tables128)
-        _, counts = z.sample_with_occupancy(SplitMix64(5), 5000)
+    @LAYOUTS
+    def test_occupancy_counts_sum_to_selections(self, request, cls, tables_name, word):
+        t = request.getfixturevalue(tables_name)
+        _, counts = cls(t).sample_with_occupancy(SplitMix64(5), 5000)
         assert sum(counts) >= 5000
-        assert len(counts) == 128
+        assert len(counts) == t.n
 
-    def test_guard_trips_on_stuck_source(self, monkeypatch, tables128):
+    @LAYOUTS
+    def test_guard_trips_on_stuck_source(self, monkeypatch, request, cls,
+                                         tables_name, word):
         monkeypatch.setattr(samplers_mod, "LOOP_GUARD", 8)
+        t = request.getfixturevalue(tables_name)
 
         class StuckWedge(ScriptedSource):
-            def __init__(self, t):
+            def __init__(self):
                 super().__init__([])
-                self.reject_word = (1 << 56) | ((t.ktab[1] + (1 << 56)) // 2)
+                mid_wedge = (t.ktab[1] + (1 << t.mantissa_bits)) // 2
+                self.reject_word = word(t, 1, mid_wedge)
                 self.phase = 0
 
             def next_u64(self):
@@ -212,7 +235,31 @@ class TestZiggurat:
                 return self.reject_word if self.phase else (1 << 64) - 1
 
         with pytest.raises(RejectionLoopExceeded):
-            ZigguratSampler(tables128).next_gaussian(StuckWedge(tables128))
+            cls(t).next_gaussian(StuckWedge())
+
+    @pytest.mark.parametrize("tables_name", ["tables128", "tables256"])
+    def test_layouts_are_a_bit_permutation(self, request, tables_name):
+        # moving the low layout's index and sign to the top and its mantissa
+        # to the bottom gives the high layout's word for the same attempt;
+        # one attempt only, since a rejection reads its next word in the
+        # other layout
+        t = request.getfixturevalue(tables_name)
+        b = t.index_bits
+
+        def perm(u):
+            return ((u & (2 * t.n - 1)) << (63 - b)) | (u >> (b + 1))
+
+        def draw(sampler, words):
+            try:
+                return sampler.next_gaussian(ScriptedSource(words)).hex()
+            except ScriptExhausted:
+                return "exhausted"
+
+        low, high = ModifiedZigguratSampler(t), ZigguratSampler(t)
+        src = SplitMix64(0x5EED)
+        for _ in range(20_000):
+            u, v = src.next_u64(), src.next_u64()
+            assert draw(low, [u, v]) == draw(high, [perm(u), v]), hex(u)
 
 
 class TestModifiedZiggurat:
@@ -321,6 +368,9 @@ class TestRegistry:
     def test_custom_layer_counts(self):
         assert make_sampler("ziggurat", layers=256).tables.n == 256
         assert make_sampler("modified-ziggurat", layers=128).tables.n == 128
+        for sampler_id in ("ziggurat", "modified-ziggurat"):
+            with pytest.raises(ValueError):
+                make_sampler(sampler_id, layers=0)
 
     def test_polar_takes_no_layers(self):
         with pytest.raises(ValueError):

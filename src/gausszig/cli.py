@@ -32,6 +32,7 @@ from .config import (
 from .samplers import (
     SAMPLER_IDS,
     UnsanctionedPairing,
+    ZigguratSampler,
     is_sanctioned,
     make_sampler,
     require_sanctioned,
@@ -46,9 +47,6 @@ from .stats import (
     uniform_counts_gof,
 )
 from .tables import build_ziggurat_tables, tables_to_json
-
-#: occupancy gates use at most this many calls (python-path instrumentation)
-OCCUPANCY_CALLS = 100_000
 
 #: deviates generated and written per block by `sample`
 SAMPLE_BLOCK = 1 << 16
@@ -86,9 +84,9 @@ def _write_output(text: str, out_path) -> None:
         fh.write(text)
 
 
-def _generate(sampler, source, n: int) -> np.ndarray:
+def _generate(sampler, source, n: int, counts) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
-    engine.fill_gaussians(sampler, source, out)
+    engine.fill_gaussians(sampler, source, out, counts)
     return out
 
 
@@ -177,7 +175,10 @@ def cmd_verify(args) -> int:
     with _timed(seconds, "generate"):
         sampler = make_sampler(args.sampler)
         source = make_source(args.source, seed)
-        deviates = _generate(sampler, source, args.n)
+        # the ziggurat family counts the layer of every attempt as it goes
+        counts = (np.zeros(sampler.tables.n, dtype=np.int64)
+                  if isinstance(sampler, ZigguratSampler) else None)
+        deviates = _generate(sampler, source, args.n, counts)
 
     # tolerances are pinned at n = 10^6 and relax as 1/sqrt(n) below it
     scale = max(1.0, (1_000_000 / args.n) ** 0.5)
@@ -209,15 +210,11 @@ def cmd_verify(args) -> int:
     ]
     all_pass = moments_pass and ks.passes(GATE_ALPHA) and chi.passes(GATE_ALPHA)
 
-    if args.sampler in ("ziggurat", "modified-ziggurat"):
-        n_occ = min(args.n, OCCUPANCY_CALLS)
+    if counts is not None:
         with _timed(seconds, "layer_occupancy"):
-            occ_sampler = make_sampler(args.sampler)
-            occ_source = make_source(args.source, seed)
-            _, counts = occ_sampler.sample_with_occupancy(occ_source, n_occ)
             occ = uniform_counts_gof(counts)
         reports.append(occ.to_json_dict("layer_occupancy", GATE_ALPHA,
-                                        n=n_occ, seed=seed))
+                                        n=args.n, seed=seed))
         all_pass = all_pass and occ.passes(GATE_ALPHA)
 
     bundle = {

@@ -6,14 +6,17 @@ Words are made in blocks of at most ``BLOCK`` with numpy: SplitMix64 as
 coefficients ``a^k`` and ``c_k`` mod 2^48, two states per u64.
 
 Whether a ziggurat word takes the fast path depends on that word alone, so
-one vector test accepts every fast word of a block at once. Each other
-position (wedge or tail) is handed to the sampler's own ``next_gaussian``,
-which reads the block's following words and then the source; the slow paths
-exist only in :mod:`gausszig.samplers`. Polar attempts always start on an
-even word, so the pair acceptance is one vector test too, and the log of
-each accepted pair comes from ``math.log``. No accept/reject decision and no
-output value comes from ``np.log`` or ``np.exp``, whose roundings differ
-from ``math``'s on some inputs.
+one vector test accepts every fast word of a block at once. The other
+positions are walked once per block in plain Python ints. A wedge attempt
+at word s always reads exactly words s and s+1, so it is decided in the
+walk with the per-call expressions, ``y = ytab[i] + u*(ytab[i+1]-ytab[i])``
+against ``math.exp(-0.5*x*x)``; only tails call into :mod:`gausszig.samplers`
+(``tail_sample``), reading the block's following words and then the source.
+The same walk counts the layer of every attempt when occupancy is asked for.
+Polar attempts always start on an even word, so the pair acceptance is one
+vector test too, and the log of each accepted pair comes from ``math.log``.
+No accept/reject decision and no output value comes from ``np.log`` or
+``np.exp``, whose roundings differ from ``math``'s on some inputs.
 
 A fill that stops inside a block rewinds the source to its state just after
 the last word used. The deviates, the final source state and the polar spare
@@ -35,6 +38,7 @@ from .samplers import (
     PolarSampler,
     RejectionLoopExceeded,
     ZigguratSampler,
+    tail_sample,
 )
 from .sources import (
     LCG_INC,
@@ -176,7 +180,8 @@ def _table_arrays(tables):
 
 
 def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
-    """(values, fast): each word's fast-path deviate, and where it applies.
+    """(values, idx, fast): each word's fast-path deviate, its sign*n + layer,
+    and where the fast path applies.
 
     The shifts and masks are the sampler's own, so the engine knows neither
     layout. The sign bit sits just above the layer index in both, so
@@ -193,49 +198,83 @@ def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     fast = m < ktab[idx]
     x = m.astype(np.float64)
     x *= wtab[idx]
-    return x, fast
+    return x, idx, fast
 
 
-def _fill_ziggurat(sampler, source: UniformSource, out: np.ndarray) -> None:
+def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
+                   out: np.ndarray, counts: np.ndarray | None) -> None:
+    t = sampler.tables
+    layer_mask = t.n - 1
+    ytab = t.ytab
     n = out.shape[0]
     filled = 0
-    # each round delivers at least one deviate, so this ends within n rounds;
-    # the rejection loops themselves run guarded inside next_gaussian
+    misses = 0  # rejected attempts since the last deviate, across rounds
     while filled < n:
         need = n - filled
         k = min(BLOCK, need + (need >> 4) + 16)  # slow paths read extra words
         start = source.state
         words = _words(source, k)
-        values, fast = _fast_path(sampler, words)
-        reader = _BlockReader(words, source)
-        pos = 0  # words read so far
-        dropped = 0  # block words a slow path read after its own
-        starts, ends = [], []
-        for s in np.flatnonzero(~fast).tolist():
+        # keep starts as the fast mask and ends as the mask of deviates
+        values, idx, keep = _fast_path(sampler, words)
+        slow = np.flatnonzero(~keep)
+        pos = 0  # first word no attempt has read yet
+        lost = 0  # words before pos that gave no deviate
+        eaten, taken, rejected, tails = [], [], [], []
+        for s, ii, x, w in zip(slow.tolist(), idx[slow].tolist(),
+                               values[slow].tolist(),
+                               words.take(slow + 1, mode="clip").tolist()):
             if s < pos:
-                continue  # read by the previous slow position
-            if s - dropped >= need:
+                continue  # read by the previous attempt
+            if s - lost >= need:
                 break  # the words before s already hold the request
-            reader.cursor = s
-            values[s] = sampler.next_gaussian(reader)
-            pos = reader.cursor  # past the block if the slow path ran over it
-            end = min(pos, k)
-            if end > s + 1:
-                starts.append(s + 1)
-                ends.append(end)
-                dropped += end - s - 1
-        if starts:
-            # the ranges are disjoint and each end precedes the next start
-            mark = np.zeros(k + 1, dtype=np.int8)
-            mark[starts] = 1
-            mark[ends] = -1
-            values = values[np.cumsum(mark[:k]) == 0]
-        got = min(need, k - dropped)
-        out[filled:filled + got] = values[:got]
+            if s > pos:
+                misses = 0  # fast deviates lie between
+            i = ii & layer_mask
+            if i == 0:
+                reader = _BlockReader(words, source)
+                reader.cursor = s + 1
+                v = tail_sample(reader, t.r)
+                pos = reader.cursor  # past the block if the tail ran over it
+                eaten.extend(range(s + 1, min(pos, k)))
+                lost += pos - s - 1
+                taken.append(s)
+                tails.append((s, -v if ii else v))
+                misses = 0
+                continue
+            # a wedge attempt reads exactly its own word and the next one
+            pos = s + 2
+            lost += 1
+            if s + 1 < k:
+                eaten.append(s + 1)
+            else:
+                w = source.next_u64()
+            y = ytab[i] + ((w >> 11) * _UNIT_SCALE) * (ytab[i + 1] - ytab[i])
+            if y < math.exp(-0.5 * x * x):
+                taken.append(s)
+                misses = 0
+                continue
+            rejected.append(s)
+            lost += 1
+            misses += 1
+            if misses >= LOOP_GUARD:
+                raise RejectionLoopExceeded(
+                    f"{sampler.algorithm_id} exceeded its iteration guard")
+        if pos < k:
+            misses = 0  # the block ends in fast deviates
+        keep[eaten] = False
+        keep[taken] = True
+        for s, v in tails:
+            values[s] = v
+        got = min(need, max(k, pos) - lost)
+        out[filled:filled + got] = values[keep][:got]
         filled += got
-        # every word used gave a deviate or was dropped
-        if got + dropped < k:
-            _rewind(source, start, got + dropped)
+        end = got + lost  # words read by the deviates used and the attempts before
+        if counts is not None:
+            keep[rejected] = True  # every attempt, whether it gave a deviate or not
+            counts += np.bincount(idx[:end][keep[:end]] & layer_mask,
+                                  minlength=t.n)
+        if end < k:
+            _rewind(source, start, end)
 
 
 def _fill_polar(sampler: PolarSampler, source: UniformSource,
@@ -299,21 +338,26 @@ def fill_u64(source: UniformSource, out: np.ndarray) -> None:
 
 
 def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
-                   out: np.ndarray) -> None:
+                   out: np.ndarray, counts: np.ndarray | None = None) -> None:
     """Fill a float64 array with deviates, advancing sampler and source state.
 
     Produces exactly the stream `sampler.next_gaussian(source)` would,
     including the polar spare carried across calls. Falls back to the
     per-call path for sources the engine does not support.
+
+    For a ziggurat sampler, `counts` (int64, one cell per layer) gains the
+    layer of every attempt made, as `sample_with_occupancy` counts them.
     """
+    if counts is not None and not isinstance(sampler, ZigguratSampler):
+        raise TypeError(f"{sampler.algorithm_id} has no layers to count")
     if out.shape[0] < PER_CALL_BELOW or not supports(source):
         for j in range(out.shape[0]):
-            out[j] = sampler.next_gaussian(source)
+            out[j] = (sampler.next_gaussian(source) if counts is None
+                      else sampler._draw(source, counts))
         return
     if isinstance(sampler, PolarSampler):
         _fill_polar(sampler, source, out)
     elif isinstance(sampler, ZigguratSampler):
-        _fill_ziggurat(sampler, source, out)
+        _fill_ziggurat(sampler, source, out, counts)
     else:
         raise TypeError(f"no engine path for sampler {sampler.algorithm_id!r}")
-

@@ -221,6 +221,13 @@ class TestVerify:
                                        "layer_occupancy"}
         assert all(v >= 0.0 for v in doc["seconds"].values())
 
+    def test_occupancy_covers_the_whole_sample(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--source", "splitmix",
+                             "--sampler", "ziggurat", "--n", "150000")
+        assert rc == 0
+        reports = {r["test"]: r for r in json.loads(out)["reports"]}
+        assert reports["layer_occupancy"]["n"] == 150_000
+
     def test_polar_bundle_has_no_occupancy(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--source", "lcg48",
                              "--sampler", "polar", "--n", "20000")

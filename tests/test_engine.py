@@ -1,14 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 
-from gausszig import ScriptedSource, SplitMix64, make_sampler, make_source
+from gausszig import (
+    RejectionLoopExceeded,
+    ScriptedSource,
+    SplitMix64,
+    make_sampler,
+    make_source,
+)
 from gausszig import engine
+from gausszig import samplers as samplers_mod
 
 from conftest import CountingSource
 
 PAIRINGS = [(src, smp)
             for src in ("lcg48", "splitmix")
             for smp in ("polar", "ziggurat", "modified-ziggurat")]
+#: every (source, ziggurat layout) pair, the unsanctioned one included
+ZIGGURAT_PAIRINGS = [p for p in PAIRINGS if p[1] != "polar"]
 
 
 def test_engine_is_available():
@@ -51,28 +62,37 @@ def test_chunked_fills_match_per_call_reference(source_id, sampler_id):
     assert getattr(sampler_e, "spare", None) == getattr(sampler_p, "spare", None)
 
 
-@pytest.mark.parametrize("source_id,sampler_id",
-                         [p for p in PAIRINGS if p[1] != "polar"])
+@pytest.mark.parametrize("source_id,sampler_id", ZIGGURAT_PAIRINGS)
 def test_fills_ending_next_to_a_slow_deviate(source_id, sampler_id):
     # a fill may stop just before or just after a deviate that took the wedge
-    # or tail path (the only ones reading more than one word); the source
-    # must still be left on the exact next word
+    # or tail path (the only ones reading more than one word), or one whose
+    # first attempts were rejected wedges; the source must still be left on
+    # the exact next word
     n = 20_000
     sampler_p = make_sampler(sampler_id)
     source_p = CountingSource(make_source(source_id, 5))
-    ref, slow = [], []
+    ref, slow, rejected = [], [], []
     for j in range(n):
         before = source_p.draws
-        ref.append(sampler_p.next_gaussian(source_p))
+        (x,), attempts = sampler_p.sample_with_occupancy(source_p, 1)
+        ref.append(x)
         if source_p.draws - before > 1:
             slow.append(j)
+        if sum(attempts) > 1:
+            rejected.append(j)
+    # alternately before and after a slow deviate, and likewise for the
+    # deviates that began with a rejected wedge
+    marks = sorted({j + k % 2 for k, j in enumerate(slow)}
+                   | {j + k % 2 for k, j in enumerate(rejected)})
     cuts = [0]
-    for k, j in enumerate(slow):
-        cut = j + k % 2  # alternately before and after a slow deviate
+    for cut in marks:
         if cut - cuts[-1] >= engine.PER_CALL_BELOW:  # shorter fills run per call
             cuts.append(cut)
     cuts.append(n)
     assert len(cuts) > 100
+    rejected = set(rejected)
+    assert sum(c in rejected for c in cuts) > 20
+    assert sum(c - 1 in rejected for c in cuts) > 20
 
     sampler_e = make_sampler(sampler_id)
     source_e = make_source(source_id, 5)
@@ -81,6 +101,143 @@ def test_fills_ending_next_to_a_slow_deviate(source_id, sampler_id):
         engine.fill_gaussians(sampler_e, source_e, buf[lo:hi])
     assert buf.tolist() == ref
     assert source_e.state == source_p.inner.state
+
+
+@pytest.mark.parametrize("sampler_id,seed",
+                         [("ziggurat", 45), ("modified-ziggurat", 10)])
+def test_round_ending_in_a_wedge_reads_its_uniform_from_the_source(
+        sampler_id, seed):
+    # a fill longer than one round walks the whole first round; with this
+    # seed the round's last word starts a wedge attempt, whose uniform is
+    # the first word after the round
+    n = engine.BLOCK + 100
+    sampler_p = make_sampler(sampler_id)
+    source_p = CountingSource(make_source("splitmix", seed))
+    ref = []
+    while source_p.draws < engine.BLOCK - 1:
+        ref.append(sampler_p.next_gaussian(source_p))
+    assert source_p.draws == engine.BLOCK - 1
+    before = source_p.draws
+    (x,), attempts = sampler_p.sample_with_occupancy(source_p, 1)
+    ref.append(x)
+    t = sampler_p.tables
+    word = engine._words(make_source("splitmix", seed), engine.BLOCK)[-1:]
+    _, idx, fast = engine._fast_path(sampler_p, word)
+    assert not fast[0] and idx[0] & (t.n - 1) != 0  # a wedge, not a tail
+    assert source_p.draws - before >= 2
+    ref.extend(sampler_p.next_gaussian(source_p) for _ in range(n - len(ref)))
+
+    sampler_e = make_sampler(sampler_id)
+    source_e = make_source("splitmix", seed)
+    buf = np.empty(n, dtype=np.float64)
+    engine.fill_gaussians(sampler_e, source_e, buf)
+    assert buf.tolist() == ref
+    assert source_e.state == source_p.inner.state
+
+
+@pytest.mark.parametrize("source_id,sampler_id", ZIGGURAT_PAIRINGS)
+def test_chunked_fills_with_eight_layers(source_id, sampler_id):
+    # with 8 layers about a fifth of attempts leave the fast path and one in
+    # sixty is a tail, so slow positions come back to back and tails run
+    # past the end of a round
+    n = 60_000
+    sampler_e = make_sampler(sampler_id, 8)
+    source_e = make_source(source_id, 31)
+    buf = np.empty(n, dtype=np.float64)
+    lo = 0
+    for size in (1, 7, 999, 30_000, n - 1 - 7 - 999 - 30_000):
+        engine.fill_gaussians(sampler_e, source_e, buf[lo:lo + size])
+        lo += size
+
+    sampler_p = make_sampler(sampler_id, 8)
+    source_p = make_source(source_id, 31)
+    ref = np.array([sampler_p.next_gaussian(source_p) for _ in range(n)])
+    assert np.array_equal(buf.view(np.uint64), ref.view(np.uint64))
+    assert source_e.state == source_p.state
+
+
+@pytest.mark.parametrize("source_id,sampler_id", ZIGGURAT_PAIRINGS)
+def test_occupancy_counts_match_per_call_reference(source_id, sampler_id):
+    n = 100_000
+    sampler_e = make_sampler(sampler_id)
+    source_e = make_source(source_id, 1618)
+    counts = np.zeros(sampler_e.tables.n, dtype=np.int64)
+    buf = np.empty(n, dtype=np.float64)
+    lo = 0
+    for size in (1, 7, 999, 30_000, n - 1 - 7 - 999 - 30_000):
+        engine.fill_gaussians(sampler_e, source_e, buf[lo:lo + size], counts)
+        lo += size
+
+    source_p = make_source(source_id, 1618)
+    ref, ref_counts = make_sampler(sampler_id).sample_with_occupancy(source_p, n)
+    assert buf.tolist() == ref
+    assert counts.tolist() == ref_counts
+    assert source_e.state == source_p.state
+
+
+def test_occupancy_counts_refused_for_polar():
+    with pytest.raises(TypeError):
+        engine.fill_gaussians(make_sampler("polar"), make_source("splitmix", 1),
+                              np.empty(100), np.zeros(128, dtype=np.int64))
+
+
+class _Tape(SplitMix64):
+    """A source the engine makes blocks for, whose words come from a tape."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.tape = iter(words)
+
+    def next_u64(self):
+        return next(self.tape)
+
+
+def _tape_words(source, k):
+    return np.array([source.next_u64() for _ in range(k)], dtype=np.uint64)
+
+
+def _stuck_tape(sampler_id, misses):
+    """`misses` rejected attempts, then accepted ones for ever."""
+    if sampler_id == "polar":
+        out_of_disk = ((1 << 64) - 1, (1 << 64) - 1)
+        inside = (3 << 61, 1 << 63)  # v1 = 0.5, v2 = 0
+        return list(out_of_disk) * misses + list(inside) * 10_000
+    z = make_sampler(sampler_id)
+    t = z.tables
+    # layer 1, mantissa mid-wedge; a uniform of all ones puts y at the top
+    # of the wedge, above the density
+    mid_wedge = (t.ktab[1] + (1 << t.mantissa_bits)) // 2
+    wedge = (1 << z.idx_shift) | (mid_wedge << z.m_shift)
+    fast = (5 << z.idx_shift) | (t.ktab[5] // 2 << z.m_shift)
+    return [wedge, (1 << 64) - 1] * misses + [fast] * 10_000
+
+
+@pytest.mark.parametrize("sampler_id", ["polar", "ziggurat", "modified-ziggurat"])
+@pytest.mark.parametrize("guard_trips", [False, True])
+def test_engine_loop_guard_matches_per_call(monkeypatch, sampler_id,
+                                            guard_trips):
+    # the misses span several rounds; the engine raises exactly when the
+    # per-call loop does: after LOOP_GUARD rejected attempts in a row
+    guard = 50
+    monkeypatch.setattr(engine, "LOOP_GUARD", guard)
+    monkeypatch.setattr(samplers_mod, "LOOP_GUARD", guard)
+    monkeypatch.setattr(engine, "_words", _tape_words)
+    tape = _stuck_tape(sampler_id, guard if guard_trips else guard - 1)
+    n = 40
+
+    sampler_p = make_sampler(sampler_id)
+    source_p = ScriptedSource(tape)
+    sampler_e = make_sampler(sampler_id)
+    buf = np.empty(n, dtype=np.float64)
+    if guard_trips:
+        with pytest.raises(RejectionLoopExceeded):
+            sampler_p.next_gaussian(source_p)
+        with pytest.raises(RejectionLoopExceeded, match=re.escape(sampler_id)):
+            engine.fill_gaussians(sampler_e, _Tape(tape), buf)
+    else:
+        ref = [sampler_p.next_gaussian(source_p) for _ in range(n)]
+        engine.fill_gaussians(sampler_e, _Tape(tape), buf)
+        assert buf.tolist() == ref
 
 
 @pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])

@@ -13,10 +13,9 @@ Everything runs single-threaded; one condition at a time.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,22 +84,7 @@ class BenchResult:
     engine_used: str
 
     def to_dict(self) -> dict:
-        return {
-            "sampler_id": self.sampler_id,
-            "source_id": self.source_id,
-            "ns_per_op": self.ns_per_op,
-            "ci_half_width": self.ci_half_width,
-            "per_iteration_ns_per_op": list(self.per_iteration_ns_per_op),
-            "ops_total": self.ops_total,
-            "checksum": self.checksum,
-            "seed": self.seed,
-            "confidence": self.confidence,
-            "engine_used": self.engine_used,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchResult":
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass
@@ -255,12 +239,10 @@ _CSV_HEADER = "source,sampler,ns_per_op,ci_half_width,iters,ops_total,seed"
 
 
 def render_table(rows, fmt: str) -> str:
-    """Render results as markdown (sources x samplers), CSV, or JSON."""
+    """Render results as markdown (sources x samplers) or CSV."""
     rows = list(rows)
     if not rows:
         raise ValueError("no benchmark results to render")
-    if fmt == "json":
-        return json.dumps([r.to_dict() for r in rows], indent=2)
     if fmt == "csv":
         lines = [_CSV_HEADER]
         for r in rows:

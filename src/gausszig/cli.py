@@ -84,12 +84,6 @@ def _write_output(text: str, out_path) -> None:
         fh.write(text)
 
 
-def _generate(sampler, source, n: int, counts) -> np.ndarray:
-    out = np.empty(n, dtype=np.float64)
-    engine.fill_gaussians(sampler, source, out, counts)
-    return out
-
-
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     cfg = (BenchConfig.paper(seed) if args.profile == "paper"
@@ -108,13 +102,21 @@ def cmd_bench(args) -> int:
         print("no sanctioned pairings selected", file=sys.stderr)
         return 2
 
-    results = []
-    for source_id, sampler_id in pairs:
-        print(f"# benchmarking {sampler_id} over {source_id} "
-              f"({args.profile} profile)", file=sys.stderr)
-        results.append(run_benchmark(sampler_id, source_id, cfg,
-                                     engine_mode=args.engine))
+    # open --out before the pairings are timed, so a bad path fails at once
+    with _open_output(args.out) as fh:
+        results = []
+        for source_id, sampler_id in pairs:
+            print(f"# benchmarking {sampler_id} over {source_id} "
+                  f"({args.profile} profile)", file=sys.stderr)
+            results.append(run_benchmark(sampler_id, source_id, cfg,
+                                         engine_mode=args.engine))
+        fh.write(_bench_text(results, args.format) + "\n")
+    return 0
 
+
+def _bench_text(results, fmt: str) -> str:
+    """The bench output; md and csv also state how each ziggurat compares
+    with polar over the same source (md in the table text, csv on stderr)."""
     comparisons = []
     by_source = {}
     for r in results:
@@ -127,7 +129,7 @@ def cmd_bench(args) -> int:
             if sampler_id != "polar":
                 comparisons.append(ComparisonRow(baseline, r))
 
-    if args.format == "json":
+    if fmt == "json":
         docs = []
         for r in results:
             doc = r.to_dict()
@@ -135,21 +137,19 @@ def cmd_bench(args) -> int:
                 if c.candidate is r:
                     doc["percent_faster_vs_polar"] = c.percent_faster
             docs.append(doc)
-        _write_output(json.dumps(docs, indent=2), args.out)
-    else:
-        text = render_table(results, args.format)
-        comp_lines = [
-            f"{c.candidate.sampler_id} over {c.candidate.source_id}: "
-            f"{c.percent_faster:.2f}% faster than {c.baseline.sampler_id} "
-            f"({c.candidate.ns_per_op:.3f} vs {c.baseline.ns_per_op:.3f} ns/op)"
-            for c in comparisons
-        ]
-        if args.format == "md" and comp_lines:
-            text += "\n\n" + "\n".join(comp_lines)
-        elif comp_lines:
-            print("\n".join(comp_lines), file=sys.stderr)
-        _write_output(text, args.out)
-    return 0
+        return json.dumps(docs, indent=2)
+    text = render_table(results, fmt)
+    comp_lines = [
+        f"{c.candidate.sampler_id} over {c.candidate.source_id}: "
+        f"{c.percent_faster:.2f}% faster than {c.baseline.sampler_id} "
+        f"({c.candidate.ns_per_op:.3f} vs {c.baseline.ns_per_op:.3f} ns/op)"
+        for c in comparisons
+    ]
+    if fmt == "md" and comp_lines:
+        text += "\n\n" + "\n".join(comp_lines)
+    elif comp_lines:
+        print("\n".join(comp_lines), file=sys.stderr)
+    return text
 
 
 @contextlib.contextmanager
@@ -178,7 +178,8 @@ def cmd_verify(args) -> int:
         # the ziggurat family counts the layer of every attempt as it goes
         counts = (np.zeros(sampler.tables.n, dtype=np.int64)
                   if isinstance(sampler, ZigguratSampler) else None)
-        deviates = _generate(sampler, source, args.n, counts)
+        deviates = np.empty(args.n, dtype=np.float64)
+        engine.fill_gaussians(sampler, source, deviates, counts)
 
     # tolerances are pinned at n = 10^6 and relax as 1/sqrt(n) below it
     scale = max(1.0, (1_000_000 / args.n) ** 0.5)
@@ -262,10 +263,6 @@ def cmd_sample(args) -> int:
 
 def cmd_tables(args) -> int:
     n = args.n if args.n is not None else 128
-    if n < 8 or (n & (n - 1)) != 0:
-        print(f"layer count must be a power of two >= 8, got {n}",
-              file=sys.stderr)
-        return 2
     _write_output(tables_to_json(build_ziggurat_tables(n)), args.out)
     return 0
 

@@ -19,8 +19,9 @@ GATE_ALPHA = 0.001
 VERIFY_DEFAULT_N = 1_000_000
 VERIFY_MIN_N = 10_000
 
-# Largest --n that verify and sample accept: both hold the whole sample in
-# memory (verify also a sorted copy), 0.8 GB of float64 per copy at this n.
+# Largest --n that verify, sample and bits accept. Only verify holds the whole
+# sample in memory, plus the sorted copy KS makes: 0.8 GB of float64 per copy
+# at this n. sample and bits stream in blocks.
 MAX_N = 10**8
 
 # Moment tolerances applied by the verify gates at n = 10^6.

@@ -142,8 +142,6 @@ def _rewind(source: UniformSource, start: int, used: int) -> None:
 class _BlockReader(UniformSource):
     """Serves a block's words from `cursor` on, then the source's next words."""
 
-    source_id = "block"
-
     def __init__(self, words: np.ndarray, source: UniformSource):
         self.words = words
         self.size = words.shape[0]
@@ -158,27 +156,6 @@ class _BlockReader(UniformSource):
         return self.source.next_u64()
 
 
-_TABLE_ARRAYS: dict = {}
-
-
-def _table_arrays(tables):
-    """(ktab, wtab) indexed by sign*n + layer, wtab negated in the top half.
-
-    Cached by identity, since hashing tables by value costs ~50 us.
-    """
-    hit = _TABLE_ARRAYS.get(id(tables))
-    if hit is None:
-        if len(_TABLE_ARRAYS) >= 16:
-            _TABLE_ARRAYS.clear()
-        ktab = np.array(tables.ktab, dtype=np.uint64)
-        wtab = np.array(tables.wtab, dtype=np.float64)
-        # the entry holds the tables, so their id cannot be reused meanwhile
-        hit = (tables, np.concatenate([ktab, ktab]),
-               np.concatenate([wtab, -wtab]))
-        _TABLE_ARRAYS[id(tables)] = hit
-    return hit[1], hit[2]
-
-
 def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     """(values, idx, fast): each word's fast-path deviate, its sign*n + layer,
     and where the fast path applies.
@@ -188,10 +165,9 @@ def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     ``(w >> idx_shift) & (2n - 1)`` is sign*n + layer, which indexes the
     doubled tables. m * -wtab[i] == -(m * wtab[i]) exactly.
     """
-    t = sampler.tables
-    ktab, wtab = _table_arrays(t)
+    ktab, wtab = sampler.engine_tables
     idx = w >> sampler.idx_shift
-    idx &= 2 * t.n - 1
+    idx &= ktab.shape[0] - 1
     m = w >> sampler.m_shift
     m &= sampler.m_mask
     idx = idx.astype(np.intp)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import abc
 import math
 
+import numpy as np
+
 from .sources import UniformSource
 from .tables import ZigguratTables, build_ziggurat_tables
 
@@ -94,6 +96,12 @@ class ZigguratSampler(GaussianSampler):
         self._draw_args = (tables.ktab, tables.wtab, tables.ytab, tables.r,
                            tables.n - 1, self.idx_shift, self.sign_bit,
                            self.m_shift, self.m_mask)
+        # the batch engine's (ktab, wtab), indexed by sign*n + layer, with
+        # wtab negated in the top half
+        ktab = np.array(tables.ktab, dtype=np.uint64)
+        wtab = np.array(tables.wtab, dtype=np.float64)
+        self.engine_tables = (np.concatenate([ktab, ktab]),
+                              np.concatenate([wtab, -wtab]))
 
     def next_gaussian(self, src: UniformSource) -> float:
         return self._draw(src, None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .sources import UniformSource
 
 _SQRT2 = math.sqrt(2.0)
@@ -198,9 +199,6 @@ class GofReport:
     def passes(self, alpha: float) -> bool:
         return self.p_value > alpha
 
-    def verdict_at(self, alphas) -> dict:
-        return {a: self.passes(a) for a in alphas}
-
     def to_json_dict(self, test: str, alpha: float, n: int, seed=None) -> dict:
         return {
             "test": test,
@@ -332,8 +330,9 @@ def ks_test(samples) -> KsReport:
     return KsReport(d_statistic=float(d), n=n)
 
 
-def chi_square_gof(samples, bin_edges, cdf=normal_cdf) -> GofReport:
-    """Chi-square test of a sample against a CDF over given interior edges.
+def chi_square_gof(samples, bin_edges) -> GofReport:
+    """Chi-square test of a sample against the standard normal over given
+    interior edges.
 
     Bins are the len(edges)+1 intervals with open tails. Adjacent bins are
     merged left-to-right until every expected count is >= 5.
@@ -345,7 +344,7 @@ def chi_square_gof(samples, bin_edges, cdf=normal_cdf) -> GofReport:
         raise ValueError("need at least one bin edge")
     counts = np.bincount(np.searchsorted(edges, arr, side="right"),
                          minlength=edges.shape[0] + 1).astype(np.float64)
-    probs = np.diff([0.0] + [cdf(float(e)) for e in edges] + [1.0])
+    probs = np.diff([0.0] + [normal_cdf(float(e)) for e in edges] + [1.0])
     expected = probs * n
 
     merged_obs, merged_exp = [], []
@@ -393,28 +392,21 @@ def uniform_counts_gof(counts) -> GofReport:
 def low_bits_chi_square(src: UniformSource, k_bits: int, n: int) -> GofReport:
     """Frequency chi-square of the low k bits of n u64 draws vs uniform.
 
-    Supported sources are drawn and counted engine.BLOCK words at a time,
-    so memory does not grow with n.
+    Draws are counted engine.BLOCK words at a time, so memory does not grow
+    with n.
     """
     if not 1 <= k_bits <= 8:
         raise ValueError(f"k_bits must be in 1..8, got {k_bits}")
     cells = 1 << k_bits
     if n < 100 * cells:
         raise ValueError(f"need n >= {100 * cells} draws for k={k_bits}, got {n}")
-    from . import engine
-
-    mask = cells - 1
+    mask = np.uint64(cells - 1)
     counts = np.zeros(cells, dtype=np.int64)
-    if engine.supports(src):
-        buf = np.empty(min(n, engine.BLOCK), dtype=np.uint64)
-        for done in range(0, n, engine.BLOCK):
-            words = buf[:min(engine.BLOCK, n - done)]
-            engine.fill_u64(src, words)
-            counts += np.bincount((words & np.uint64(mask)).astype(np.int64),
-                                  minlength=cells)
-    else:
-        for _ in range(n):
-            counts[src.next_u64() & mask] += 1
+    buf = np.empty(min(n, engine.BLOCK), dtype=np.uint64)
+    for done in range(0, n, engine.BLOCK):
+        words = buf[:min(engine.BLOCK, n - done)]
+        engine.fill_u64(src, words)
+        counts += np.bincount((words & mask).astype(np.int64), minlength=cells)
     return uniform_counts_gof(counts)
 
 

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 SOLVE_TOLERANCE = 1e-12
 #: bisection iteration cap before construction fails
 SOLVE_MAX_ITER = 200
+#: most layers a table may have: beyond it the top layers' areas no longer
+#: validate (2^16 fails at layer 65535), and each bisection step costs O(n)
+MAX_LAYERS = 1 << 15
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -105,9 +108,11 @@ def solve_boundary(n: int) -> float:
 
 
 def build_ziggurat_tables(n: int) -> ZigguratTables:
-    """Build the full table set for an n-layer ziggurat (n a power of two)."""
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"layer count must be a power of two >= 8, got {n}")
+    """Build the full table set for an n-layer ziggurat (n a power of two,
+    8 <= n <= MAX_LAYERS)."""
+    if not 8 <= n <= MAX_LAYERS or (n & (n - 1)) != 0:
+        raise ValueError(
+            f"layer count must be a power of two in 8..{MAX_LAYERS}, got {n}")
     r = solve_boundary(n)
     v = r * density(r) + tail_area(r)
 

@@ -120,13 +120,6 @@ class TestRenderTable:
         assert header == "source,sampler,ns_per_op,ci_half_width,iters,ops_total,seed"
         assert row.startswith("splitmix,polar,9.500,")
 
-    def test_json_round_trips(self):
-        import json
-
-        r = _result("polar", "lcg48", 100.0)
-        doc = json.loads(render_table([r], "json"))
-        assert BenchResult.from_dict(doc[0]) == r
-
     def test_empty_rows_refused(self):
         with pytest.raises(ValueError):
             render_table([], "md")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausszig import make_sampler, make_source, tables_from_json
+from gausszig import cli, make_sampler, make_source, tables_from_json
 from gausszig.cli import SAMPLE_BLOCK, main
 from gausszig.config import DEFAULT_SEED, MAX_N
 
@@ -165,6 +165,12 @@ class TestTables:
         rc, _, err = run_cli(capsys, "tables", "--n", "100")
         assert rc == 2
 
+    def test_count_above_max_layers_refused(self, capsys):
+        rc, out, err = run_cli(capsys, "tables", "--n", str(1 << 16))
+        assert rc == 2
+        assert out == ""
+        assert "invalid request" in err
+
 
 class TestBits:
     def test_splitmix_k8_passes(self, capsys):
@@ -186,6 +192,16 @@ class TestBits:
     def test_scripted_requires_script_path(self, capsys):
         rc, _, _ = run_cli(capsys, "bits", "--source", "scripted", "--k", "2")
         assert rc == 2
+
+    def test_script_shorter_than_n_exits_2(self, capsys, tmp_path):
+        script = tmp_path / "short.txt"
+        script.write_text("".join(f"{w}\n" for w in range(500)))
+        rc, out, err = run_cli(capsys, "bits", "--source", "scripted",
+                               "--script", str(script), "--k", "2",
+                               "--n", "501")
+        assert rc == 2
+        assert out == ""
+        assert "script exhausted" in err
 
     def test_hex_words_accepted_in_scripts(self, capsys, tmp_path):
         script = tmp_path / "w.txt"
@@ -299,6 +315,17 @@ class TestBench:
         assert rc == 0
         assert "ns/op" in out
         assert "% faster than polar" in out
+
+    def test_bad_out_path_fails_before_timing(self, capsys, monkeypatch,
+                                              tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("timed a pairing before opening --out")
+
+        monkeypatch.setattr(cli, "run_benchmark", refuse)
+        rc, _, err = run_cli(capsys, "bench", "--profile", "smoke",
+                             "--out", str(tmp_path / "no" / "such.json"))
+        assert rc == 3
+        assert "I/O error" in err
 
 
 def test_invalid_subcommand_exits_2():

@@ -377,10 +377,6 @@ class TestReportSerialization:
                             "verdict", "n", "seed"}
         assert doc["verdict"] in ("pass", "fail")
 
-    def test_gof_verdict_consistency(self):
-        rep = uniform_counts_gof([400, 0, 0, 0])
-        assert rep.verdict_at([0.001, 0.05]) == {0.001: False, 0.05: False}
-
     def test_ks_report_json_shape(self):
         rep = ks_test([0.1, -0.2, 0.3, 0.5])
         doc = rep.to_json_dict(0.001, seed=1)

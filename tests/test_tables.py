@@ -73,7 +73,7 @@ class TestTableInvariants:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("n", [100, 0, 7, 129, -8])
+    @pytest.mark.parametrize("n", [100, 0, 7, 129, -8, 1 << 16])
     def test_non_power_of_two_rejected(self, n):
         with pytest.raises(ValueError):
             build_ziggurat_tables(n)

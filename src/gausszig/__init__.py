@@ -8,7 +8,6 @@ statistical gates and the microbenchmark harness used to compare them.
 from .bench import (
     BenchConfig,
     BenchResult,
-    ComparisonRow,
     confidence_interval,
     percent_faster,
     render_table,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchConfig",
     "BenchResult",
-    "ComparisonRow",
     "DEFAULT_SEED",
     "GaussianSampler",
     "GofReport",

@@ -8,6 +8,11 @@ read. A fixed-length witness stream is checksummed before timing so the
 reported checksum is deterministic under the seed no matter how many ops the
 wall clock allows.
 
+The CI multiplier is the two-sided Student-t quantile at measure_iters - 1
+degrees of freedom. For an integer dof the t CDF is a finite trigonometric
+sum (Abramowitz & Stegun 26.7.3-26.7.4), which `student_t_quantile` inverts
+by bisection; no special-function library is needed.
+
 Everything runs single-threaded; one condition at a time.
 """
 
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +28,6 @@ from . import engine
 from .config import DEFAULT_SEED
 from .samplers import make_sampler, require_sanctioned
 from .sources import make_source
-from .stats import regularized_beta
 
 #: ops per timer read; large enough to keep timer overhead below 0.1%
 BATCH_OPS = 1 << 17
@@ -83,42 +87,42 @@ class BenchResult:
     confidence: float
     engine_used: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
+def _t_central(t: float, dof: int) -> float:
+    """P(|T| <= t) for Student's t with an integer number of degrees of freedom.
 
-@dataclass
-class ComparisonRow:
-    """Percent-faster relation between two results on the same source."""
-
-    baseline: BenchResult
-    candidate: BenchResult
-    percent_faster: float = field(init=False)
-
-    def __post_init__(self):
-        self.percent_faster = percent_faster(
-            self.baseline.ns_per_op, self.candidate.ns_per_op)
+    The finite trigonometric sum of Abramowitz & Stegun 26.7.3-26.7.4, with
+    theta = atan(t/sqrt(dof)): sin(theta) * sum(a_j) for even dof and
+    2/pi * (theta + sin(theta)cos(theta) * sum(b_j)) for odd dof, over
+    dof//2 terms a_j = a_{j-1} cos^2(theta) (2j-1)/(2j) or
+    b_j = b_{j-1} cos^2(theta) 2j/(2j+1), from a_0 = b_0 = 1.
+    """
+    theta = math.atan(t / math.sqrt(dof))
+    c = math.cos(theta) ** 2
+    odd = dof % 2
+    term, total = 1.0, 0.0
+    for j in range(1, dof // 2 + 1):
+        total += term
+        term *= c * (2 * j - 1 + odd) / (2 * j + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    return math.sin(theta) * total
 
 
 def student_t_quantile(confidence: float, dof: int) -> float:
     """Two-sided Student-t quantile for the given confidence level.
 
-    Inverts the t survival function, expressed through the regularized
-    incomplete beta, by bisection; works for any level in (0, 1).
+    Inverts the closed-form central probability ``_t_central`` by bisection;
+    works for any level in (0, 1).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    upper_tail = 0.5 * (1.0 - confidence)
-
-    def sf(t: float) -> float:
-        return 0.5 * regularized_beta(0.5 * dof, 0.5, dof / (dof + t * t))
-
     lo, hi = 0.0, 1e8
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sf(mid) > upper_tail:
+        if _t_central(mid, dof) < confidence:
             lo = mid
         else:
             hi = mid

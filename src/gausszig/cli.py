@@ -12,11 +12,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import engine
-from .bench import BenchConfig, ComparisonRow, render_table, run_benchmark
+from .bench import BenchConfig, percent_faster, render_table, run_benchmark
 from .config import (
     DEFAULT_SEED,
     GATE_ALPHA,
@@ -117,33 +118,33 @@ def cmd_bench(args) -> int:
 def _bench_text(results, fmt: str) -> str:
     """The bench output; md and csv also state how each ziggurat compares
     with polar over the same source (md in the table text, csv on stderr)."""
-    comparisons = []
+    comparisons = []  # (candidate, polar, percent faster), source by source
     by_source = {}
     for r in results:
         by_source.setdefault(r.source_id, {})[r.sampler_id] = r
-    for source_id, group in by_source.items():
-        baseline = group.get("polar")
-        if baseline is None:
+    for group in by_source.values():
+        polar = group.get("polar")
+        if polar is None:
             continue
-        for sampler_id, r in group.items():
-            if sampler_id != "polar":
-                comparisons.append(ComparisonRow(baseline, r))
+        comparisons += [(r, polar, percent_faster(polar.ns_per_op, r.ns_per_op))
+                        for sampler_id, r in group.items()
+                        if sampler_id != "polar"]
 
     if fmt == "json":
+        pct = {id(r): p for r, _, p in comparisons}
         docs = []
         for r in results:
-            doc = r.to_dict()
-            for c in comparisons:
-                if c.candidate is r:
-                    doc["percent_faster_vs_polar"] = c.percent_faster
+            doc = asdict(r)
+            if id(r) in pct:
+                doc["percent_faster_vs_polar"] = pct[id(r)]
             docs.append(doc)
         return json.dumps(docs, indent=2)
     text = render_table(results, fmt)
     comp_lines = [
-        f"{c.candidate.sampler_id} over {c.candidate.source_id}: "
-        f"{c.percent_faster:.2f}% faster than {c.baseline.sampler_id} "
-        f"({c.candidate.ns_per_op:.3f} vs {c.baseline.ns_per_op:.3f} ns/op)"
-        for c in comparisons
+        f"{r.sampler_id} over {r.source_id}: "
+        f"{p:.2f}% faster than {polar.sampler_id} "
+        f"({r.ns_per_op:.3f} vs {polar.ns_per_op:.3f} ns/op)"
+        for r, polar, p in comparisons
     ]
     if fmt == "md" and comp_lines:
         text += "\n\n" + "\n".join(comp_lines)

@@ -195,7 +195,7 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
         slow = np.flatnonzero(~keep)
         pos = 0  # first word no attempt has read yet
         lost = 0  # words before pos that gave no deviate
-        eaten, taken, rejected, tails = [], [], [], []
+        eaten, taken, rejected = [], [], []
         for s, ii, x, w in zip(slow.tolist(), idx[slow].tolist(),
                                values[slow].tolist(),
                                words.take(slow + 1, mode="clip").tolist()):
@@ -214,7 +214,7 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
                 eaten.extend(range(s + 1, min(pos, k)))
                 lost += pos - s - 1
                 taken.append(s)
-                tails.append((s, -v if ii else v))
+                values[s] = -v if ii else v
                 misses = 0
                 continue
             # a wedge attempt reads exactly its own word and the next one
@@ -239,8 +239,6 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
             misses = 0  # the block ends in fast deviates
         keep[eaten] = False
         keep[taken] = True
-        for s, v in tails:
-            values[s] = v
         got = min(need, max(k, pos) - lost)
         out[filled:filled + got] = values[keep][:got]
         filled += got
@@ -324,8 +322,12 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
     For a ziggurat sampler, `counts` (int64, one cell per layer) gains the
     layer of every attempt made, as `sample_with_occupancy` counts them.
     """
-    if counts is not None and not isinstance(sampler, ZigguratSampler):
-        raise TypeError(f"{sampler.algorithm_id} has no layers to count")
+    if counts is not None:
+        if not isinstance(sampler, ZigguratSampler):
+            raise TypeError(f"{sampler.algorithm_id} has no layers to count")
+        if counts.shape != (sampler.tables.n,):
+            raise ValueError(f"counts needs shape ({sampler.tables.n},), "
+                             f"got {counts.shape}")
     if out.shape[0] < PER_CALL_BELOW or not supports(source):
         for j in range(out.shape[0]):
             out[j] = (sampler.next_gaussian(source) if counts is None

@@ -7,7 +7,6 @@ from scipy import stats as scipy_stats
 from gausszig import (
     BenchConfig,
     BenchResult,
-    ComparisonRow,
     UnsanctionedPairing,
     confidence_interval,
     percent_faster,
@@ -23,7 +22,7 @@ class TestStudentT:
         assert abs(student_t_quantile(0.999, 4) - 8.6103) < 1e-4
 
     def test_against_scipy_grid(self):
-        for dof in (1, 2, 4, 10, 30):
+        for dof in (1, 2, 3, 4, 5, 10, 30, 31):
             for level in (0.9, 0.99, 0.999):
                 want = scipy_stats.t.ppf(0.5 + level / 2, dof)
                 assert abs(student_t_quantile(level, dof) - want) < 1e-8
@@ -86,18 +85,12 @@ class TestPercentFaster:
         with pytest.raises(ValueError):
             percent_faster(1.0, -2.0)
 
-    def test_comparison_row_carries_relation(self):
-        base = _result("polar", "lcg48", 103.037)
-        cand = _result("ziggurat", "lcg48", 17.393)
-        row = ComparisonRow(base, cand)
-        assert abs(row.percent_faster - 83.12) < 0.01
-
 
 def _result(sampler_id, source_id, ns, ci=0.3):
     return BenchResult(
         sampler_id=sampler_id, source_id=source_id, ns_per_op=ns,
         ci_half_width=ci, per_iteration_ns_per_op=[ns, ns], ops_total=1000,
-        checksum=12345, seed=1, confidence=0.999, engine_used="numba")
+        checksum=12345, seed=1, confidence=0.999, engine_used="numpy")
 
 
 class TestRenderTable:

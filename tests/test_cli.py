@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausszig import cli, make_sampler, make_source, tables_from_json
+from gausszig import (BenchResult, cli, make_sampler, make_source,
+                      percent_faster, tables_from_json)
 from gausszig.cli import SAMPLE_BLOCK, main
 from gausszig.config import DEFAULT_SEED, MAX_N
 
@@ -288,9 +289,14 @@ class TestBench:
         assert pairs == {("lcg48", "polar"), ("lcg48", "ziggurat"),
                          ("splitmix", "polar"), ("splitmix", "ziggurat"),
                          ("splitmix", "modified-ziggurat")}
+        ns = {(d["source_id"], d["sampler_id"]): d["ns_per_op"] for d in docs}
         for d in docs:
             if d["sampler_id"] != "polar":
-                assert "percent_faster_vs_polar" in d
+                polar = ns[d["source_id"], "polar"]
+                assert d["percent_faster_vs_polar"] == percent_faster(
+                    polar, d["ns_per_op"])
+            else:
+                assert "percent_faster_vs_polar" not in d
 
     def test_explicit_unsanctioned_pairing_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "bench", "--source", "lcg48",
@@ -315,6 +321,63 @@ class TestBench:
         assert rc == 0
         assert "ns/op" in out
         assert "% faster than polar" in out
+
+    def test_bench_text_golden(self, capsys):
+        # five fixed results, sources interleaved and a ziggurat ahead of
+        # its polar, pin every byte of the three formats
+        rows = [
+            ("ziggurat", "splitmix", 17.3926, 0.4125, [17.1, 17.6852], 1 << 63),
+            ("polar", "lcg48", 103.0371, 2.5, [101.2, 104.8742], 7),
+            ("polar", "splitmix", 88.7744, 1.0, [88.0, 89.5488], 0),
+            ("ziggurat", "lcg48", 17.393, 0.3004, [17.2, 17.586], 12345),
+            ("modified-ziggurat", "splitmix", 10.9009, 0.0995,
+             [10.85, 10.9518], (1 << 64) - 1),
+        ]
+        results = [
+            BenchResult(sampler_id=sid, source_id=src, ns_per_op=ns,
+                        ci_half_width=ci, per_iteration_ns_per_op=its,
+                        ops_total=524288, checksum=checksum, seed=3,
+                        confidence=0.999, engine_used="numpy")
+            for sid, src, ns, ci, its, checksum in rows]
+        comparisons = (
+            "ziggurat over splitmix: 80.41% faster than polar "
+            "(17.393 vs 88.774 ns/op)\n"
+            "modified-ziggurat over splitmix: 87.72% faster than polar "
+            "(10.901 vs 88.774 ns/op)\n"
+            "ziggurat over lcg48: 83.12% faster than polar "
+            "(17.393 vs 103.037 ns/op)")
+
+        assert cli._bench_text(results, "md") == (
+            "| PRNG | ziggurat | polar | modified-ziggurat |\n"
+            "|---|---|---|---|\n"
+            "| splitmix | 17.393 ± 0.412 ns/op | 88.774 ± 1.000 ns/op "
+            "| 10.901 ± 0.100 ns/op |\n"
+            "| lcg48 | 17.393 ± 0.300 ns/op | 103.037 ± 2.500 ns/op | n/a |\n"
+            "\n" + comparisons)
+        assert capsys.readouterr().err == ""
+
+        assert cli._bench_text(results, "csv") == (
+            "source,sampler,ns_per_op,ci_half_width,iters,ops_total,seed\n"
+            "splitmix,ziggurat,17.393,0.412,2,524288,3\n"
+            "lcg48,polar,103.037,2.500,2,524288,3\n"
+            "splitmix,polar,88.774,1.000,2,524288,3\n"
+            "lcg48,ziggurat,17.393,0.300,2,524288,3\n"
+            "splitmix,modified-ziggurat,10.901,0.100,2,524288,3")
+        assert capsys.readouterr().err == comparisons + "\n"
+
+        percent = {0: 80.40809062071949, 3: 83.11967242866889,
+                   4: 87.72067172518203}
+        docs = []
+        for j, (sid, src, ns, ci, its, checksum) in enumerate(rows):
+            doc = {"sampler_id": sid, "source_id": src, "ns_per_op": ns,
+                   "ci_half_width": ci, "per_iteration_ns_per_op": its,
+                   "ops_total": 524288, "checksum": checksum, "seed": 3,
+                   "confidence": 0.999, "engine_used": "numpy"}
+            if j in percent:
+                doc["percent_faster_vs_polar"] = percent[j]
+            docs.append(doc)
+        assert cli._bench_text(results, "json") == json.dumps(docs, indent=2)
+        assert capsys.readouterr().err == ""
 
     def test_bad_out_path_fails_before_timing(self, capsys, monkeypatch,
                                               tmp_path):

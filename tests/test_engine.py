@@ -181,6 +181,20 @@ def test_occupancy_counts_refused_for_polar():
                               np.empty(100), np.zeros(128, dtype=np.int64))
 
 
+@pytest.mark.parametrize("cells,n", [(64, 1000), (4, 8), (300, 8)])
+def test_occupancy_counts_of_the_wrong_shape_refused(cells, n):
+    # the sampler has 128 layers; the check comes before any word is drawn,
+    # on the engine path (n = 1000) and the per-call path (n = 8) alike
+    source = make_source("splitmix", 1)
+    out = np.full(n, 7.0)
+    counts = np.zeros(cells, dtype=np.int64)
+    with pytest.raises(ValueError):
+        engine.fill_gaussians(make_sampler("ziggurat"), source, out, counts)
+    assert source.state == make_source("splitmix", 1).state
+    assert (out == 7.0).all()
+    assert not counts.any()
+
+
 class _Tape(SplitMix64):
     """A source the engine makes blocks for, whose words come from a tape."""
 

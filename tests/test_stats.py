@@ -20,7 +20,6 @@ from gausszig import (
 from gausszig.stats import (
     BLOCK,
     chi_square_sf,
-    regularized_beta,
     regularized_gamma_q,
     uniform_counts_gof,
 )
@@ -106,12 +105,6 @@ class TestSpecialFunctions:
             for stat in (0.0, 0.5, float(dof), 3.0 * dof):
                 assert abs(chi_square_sf(stat, dof)
                            - scipy_stats.chi2.sf(stat, dof)) < 1e-11
-
-    def test_beta_against_scipy(self):
-        for a, b in ((0.5, 0.5), (2.0, 0.5), (64.0, 0.5), (3.0, 7.0)):
-            for x in (0.0, 0.1, 0.5, 0.9, 1.0):
-                assert abs(regularized_beta(a, b, x)
-                           - sps.betainc(a, b, x)) < 1e-12
 
 
 class TestMoments:

@@ -20,8 +20,8 @@ VERIFY_DEFAULT_N = 1_000_000
 VERIFY_MIN_N = 10_000
 
 # Largest --n that verify, sample and bits accept. Only verify holds the whole
-# sample in memory, plus the sorted copy KS makes: 0.8 GB of float64 per copy
-# at this n. sample and bits stream in blocks.
+# sample in memory: one float64 array of 0.8 GB at this n, sorted in place
+# for the KS and chi-square gates. sample and bits stream in blocks.
 MAX_N = 10**8
 
 # Moment tolerances applied by the verify gates at n = 10^6.

@@ -53,7 +53,7 @@ from .sources import (
 #: most words made per numpy round; bounds the engine's scratch memory
 BLOCK = 1 << 14
 #: shorter fills run per call, which is cheaper than one numpy round
-PER_CALL_BELOW = 16
+PER_CALL_BELOW = 24
 
 # LCG words come in rows of _ROW, each row jumped to from the block's start
 _ROW = 64

@@ -6,12 +6,16 @@ its own special functions (erfc-based normal CDF, regularized incomplete
 gamma for chi-square tails); the test suite checks them against independent
 oracles. Everything here is a pure function of its inputs.
 
-The two gates that touch every deviate work over blocks of BLOCK elements,
-so their temporaries stay small at any n. `moments` is a two-pass method:
-the mean first, then the central power sums. `ks_test` screens the sorted
-sample with a vectorized erfc approximation and takes the statistic from
-the scalar `normal_cdf` at every index within a guard band of the screened
-maximum, so its result equals a per-element evaluation bit for bit.
+The gates that touch every deviate work over blocks of BLOCK elements, so
+their temporaries stay small at any n. `moments` is a two-pass method: the
+mean first, then the central power sums. `ks_test` and `chi_square_gof` read
+the sorted sample, and sort a copy only when their input is not already
+ascending, so a caller that sorts its sample once in place holds one array.
+`ks_test` screens the sorted sample with a vectorized erfc approximation and
+takes the statistic from the scalar `normal_cdf` at every index within a
+guard band of the screened maximum, so its result equals a per-element
+evaluation bit for bit. `chi_square_gof` counts each bin as the difference
+of two positions of its edges in the sorted sample.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .sources import UniformSource
 
 _SQRT2 = math.sqrt(2.0)
 
-#: elements per block in moments and ks_test
+#: elements per block in moments, ks_test and the ascending check
 BLOCK = 1 << 16
 
 #: bound on |approximate CDF - normal_cdf| that ks_test's guard band assumes;
@@ -224,6 +228,18 @@ def moments(samples) -> MomentSummary:
                          skewness=skew, excess_kurtosis=kurt)
 
 
+def _sorted(samples) -> np.ndarray:
+    """The sample as float64 in ascending order, sorting a copy only when the
+    input is not ascending already; the caller's array is never modified."""
+    arr = np.asarray(samples, dtype=np.float64)
+    # a nan fails every <=, so a sample holding one is always sorted (nan last)
+    for start in range(0, arr.shape[0] - 1, BLOCK):
+        block = arr[start:start + BLOCK + 1]
+        if not (block[:-1] <= block[1:]).all():
+            return np.sort(arr)
+    return arr
+
+
 def _approx_normal_cdf(x: np.ndarray) -> np.ndarray:
     # Numerical Recipes erfcc: fractional error < 1.2e-7 for every argument.
     # Only ks_test's screening uses it; no reported value comes from it.
@@ -233,8 +249,12 @@ def _approx_normal_cdf(x: np.ndarray) -> np.ndarray:
         0.09678418 + t * (-0.18628806 + t * (0.27886807 + t * (
             -1.13520398 + t * (1.48851587 + t * (
                 -0.82215223 + t * 0.17087277))))))))
-    half_erfc = 0.5 * t * np.exp(poly - z * z)
-    return np.where(x < 0.0, half_erfc, 1.0 - half_erfc)
+    # in place from here, so that a block holds few temporaries at once
+    poly -= z * z
+    cdf = np.exp(poly, out=poly)
+    cdf *= 0.5 * t  # half erfc(|x|/sqrt2): the CDF below zero
+    np.subtract(1.0, cdf, out=cdf, where=x >= 0.0)
+    return cdf
 
 
 def _ks_gaps(cdf_vals: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
@@ -252,7 +272,7 @@ def ks_test(samples) -> KsReport:
     normal_cdf, and the statistic is the exact maximum over them. A sample
     whose gaps all tie within the band costs one normal_cdf per element.
     """
-    arr = np.sort(np.asarray(samples, dtype=np.float64))
+    arr = _sorted(samples)
     n = arr.shape[0]
     if n < 1:
         raise ValueError("ks_test requires at least one sample")
@@ -284,16 +304,18 @@ def chi_square_gof(samples, bin_edges) -> GofReport:
     """Chi-square test of a sample against the standard normal over given
     interior edges.
 
-    Bins are the len(edges)+1 intervals with open tails. Adjacent bins are
-    merged left-to-right until every expected count is >= 5.
+    Bins are the len(edges)+1 intervals with open tails; a value on an edge
+    belongs to the bin above it. Adjacent bins are merged left-to-right until
+    every expected count is >= 5.
     """
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = _sorted(samples)
     n = arr.shape[0]
     edges = np.asarray(sorted(bin_edges), dtype=np.float64)
     if edges.shape[0] < 1:
         raise ValueError("need at least one bin edge")
-    counts = np.bincount(np.searchsorted(edges, arr, side="right"),
-                         minlength=edges.shape[0] + 1).astype(np.float64)
+    # the number of values below each edge, read off the sorted sample
+    below = np.searchsorted(arr, edges, side="left")
+    counts = np.diff(below, prepend=0, append=n).astype(np.float64)
     probs = np.diff([0.0] + [normal_cdf(float(e)) for e in edges] + [1.0])
     expected = probs * n
 

@@ -8,7 +8,7 @@ import pytest
 from gausszig import (BenchResult, cli, make_sampler, make_source,
                       percent_faster, tables_from_json)
 from gausszig.cli import SAMPLE_BLOCK, main
-from gausszig.config import DEFAULT_SEED, MAX_N
+from gausszig.config import DEFAULT_SEED, MAX_N, SEED_ENV_VAR
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +268,72 @@ class TestVerify:
                              "--sampler", "modified-ziggurat", "--n", "20000")
         assert rc == 2
         assert "low-order" in err
+
+    @pytest.mark.parametrize("source_id,sampler_id,stats", [
+        ("splitmix", "ziggurat", {
+            "moments": (0.017145794105550928, 1.0050601711403178,
+                        0.005760122642999306, 0.03758380013072271),
+            "ks": 0.010517307928529007,
+            "chi": (116.45999999999614, 0.11098315856388144),
+            "occupancy": (149.83464100666177, 127, 0.08133170241126766)}),
+        ("lcg48", "polar", {
+            "moments": (-0.0030103207127159977, 1.0056327897276591,
+                        3.08925970645542e-05, -0.02610041311399769),
+            "ks": 0.003929143821060688,
+            "chi": (91.7299999999993, 0.6851600252764034),
+            "occupancy": None}),
+    ])
+    def test_bundle_golden(self, capsys, monkeypatch, source_id, sampler_id,
+                           stats):
+        # every byte of the bundle but the gate timings is pinned
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        rc, out, _ = run_cli(capsys, "verify", "--source", source_id,
+                             "--sampler", sampler_id, "--n", "20000")
+        assert rc == 0
+        n, seed, alpha = 20000, DEFAULT_SEED, 0.001
+        mean, variance, skewness, kurtosis = stats["moments"]
+        reports = [
+            {"test": "moments", "n": n, "mean": mean, "variance": variance,
+             "skewness": skewness, "excess_kurtosis": kurtosis,
+             "tolerances": {"mean": 0.0282842712474619,
+                            "variance": 0.07071067811865475,
+                            "skewness": 0.07071067811865475,
+                            "excess_kurtosis": 0.3535533905932738},
+             "verdict": "pass", "seed": seed},
+            {"test": "ks", "statistic": stats["ks"], "dof": None,
+             "p_value": None, "critical_value": 0.013784867119002345,
+             "alpha": alpha, "verdict": "pass", "n": n, "seed": seed},
+            {"test": "chi_square_equal_prob_bins",
+             "statistic": stats["chi"][0], "dof": 99,
+             "p_value": stats["chi"][1], "alpha": alpha, "verdict": "pass",
+             "n": n, "seed": seed},
+        ]
+        if stats["occupancy"] is not None:
+            statistic, dof, p_value = stats["occupancy"]
+            reports.append({"test": "layer_occupancy", "statistic": statistic,
+                            "dof": dof, "p_value": p_value, "alpha": alpha,
+                            "verdict": "pass", "n": n, "seed": seed})
+        seconds = json.loads(out)["seconds"]
+        bundle = {"source": source_id, "sampler": sampler_id, "seed": seed,
+                  "n": n, "alpha": alpha, "sanctioned": True,
+                  "verdict": "pass", "reports": reports, "seconds": seconds}
+        assert out == json.dumps(bundle, indent=2) + "\n"
+
+    def test_gates_hold_one_sample_sized_array(self, capsys):
+        # the sample is sorted in place for the order-statistic gates, so
+        # the traced peak is one n-sized array plus block temporaries
+        n = 2_000_000
+        argv = ["verify", "--source", "lcg48", "--sampler", "ziggurat",
+                "--n"]
+        assert main(argv + ["20000"]) == 0  # fills the engine's caches
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(n)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 1.5 * 8 * n
 
     def test_force_runs_the_unsafe_pairing_and_reports(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--source", "lcg48",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,87 @@ class TestChiSquareGof:
         rep = chi_square_gof(rng.normal(0.3, 1.0, size=100_000),
                              equal_probability_edges(100))
         assert not rep.passes(0.001)
+
+
+def _descending_only_across_a_block_boundary():
+    # ascending within each check block, but the second block starts with
+    # the smallest value
+    arr = np.sort(np.random.default_rng(47).normal(size=2 * BLOCK + 9))
+    arr[BLOCK] = arr[0] - 1.0
+    return arr
+
+
+ORDER_CASES = {
+    "engine_1e5": lambda: _engine_deviates(100_000),
+    "block_plus_1": lambda: np.random.default_rng(43).normal(size=BLOCK + 1),
+    "descent_across_blocks": _descending_only_across_a_block_boundary,
+}
+
+
+class TestSortedSample:
+    """ks_test and chi_square_gof read one sorted sample and sort a copy
+    only when their input is not ascending."""
+
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    def test_shuffled_and_sorted_give_identical_reports(self, case):
+        arr = np.asarray(ORDER_CASES[case](), dtype=np.float64)
+        shuffled = np.random.default_rng(53).permutation(arr)
+        ordered = np.sort(arr)
+        edges = equal_probability_edges(100)
+        assert ks_test(shuffled) == ks_test(ordered) == ks_test(arr)
+        assert (chi_square_gof(shuffled, edges)
+                == chi_square_gof(ordered, edges)
+                == chi_square_gof(arr, edges))
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_input_array_is_not_modified(self, order):
+        arr = _engine_deviates(BLOCK + 3)
+        if order == "sorted":
+            arr.sort()
+        before = arr.copy()
+        ks_test(arr)
+        chi_square_gof(arr, equal_probability_edges(100))
+        assert np.array_equal(arr.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("n,at", [(4, 1), (2 * BLOCK + 9, BLOCK),
+                                      (2 * BLOCK + 9, BLOCK - 1)])
+    def test_nan_inside_an_ascending_sample_is_refused(self, n, at):
+        # a nan compares false both ways, so it must not pass as ascending
+        arr = np.sort(np.random.default_rng(59).normal(size=n))
+        arr[at] = np.nan
+        with pytest.raises(ValueError):
+            ks_test(arr)
+
+    def test_counts_match_per_value_binning(self):
+        # values on the edges go to the bin above, as searchsorted "right"
+        # over the edges puts them; the tails are open
+        edges = np.array([-1.0, -0.25, 0.0, 0.5, 1.5])
+        rng = np.random.default_rng(61)
+        x = np.concatenate([rng.normal(size=400), np.repeat(edges, 7),
+                            [-np.inf] * 3 + [np.inf] * 5])
+        rng.shuffle(x)
+        per_value = np.bincount(np.searchsorted(edges, x, side="right"),
+                                minlength=edges.shape[0] + 1)
+        # one value well inside each bin, as often as per_value counts it
+        inside = np.concatenate([[edges[0] - 1.0],
+                                 (edges[:-1] + edges[1:]) / 2.0,
+                                 [edges[-1] + 1.0]])
+        rep = chi_square_gof(np.repeat(inside, per_value), edges)
+        assert rep.dof == edges.shape[0]  # nothing merged
+        assert chi_square_gof(x, edges) == rep
+        assert chi_square_gof(np.sort(x), edges) == rep
+
+    def test_sorted_sample_is_read_without_an_n_sized_copy(self):
+        arr = np.sort(_engine_deviates(1_000_000))
+        edges = equal_probability_edges(100)
+        tracemalloc.start()
+        try:
+            ks_test(arr)
+            chi_square_gof(arr, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes / 2
 
 
 class TestUniformCounts:

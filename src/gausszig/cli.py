@@ -50,7 +50,7 @@ from .stats import (
 from .tables import build_ziggurat_tables, tables_to_json
 
 #: deviates generated and written per block by `sample`
-SAMPLE_BLOCK = 1 << 16
+SAMPLE_BLOCK = engine.BLOCK
 
 
 def _parse_seed(text: str) -> int:

@@ -22,12 +22,31 @@ A fill that stops inside a block rewinds the source to its state just after
 the last word used. The deviates, the final source state and the polar spare
 are therefore exactly those of ``sampler.next_gaussian(source)`` called once
 per element; the test suite pins that.
+
+A block holds at least ``READ_AHEAD`` words, and a block of that size
+outlives its fill: the sampler keeps it (``read_ahead``) with its words, the
+vectors derived from them and the source state at its read position. The
+next fill starts on the unread words, with no numpy round to make them, if
+they are enough for the whole fill; otherwise it makes a new block from the
+source's state, so a fill never pays for two rounds where one would do.
+Fills shorter than ``PER_CALL_BELOW``, which run per call, read the words
+through ``_BlockReader``, so the read position keeps in step.
+
+Nothing ties the block to one source object. A fill uses it only when the
+source's type, gamma and state are those of an unread position, since the
+words are a pure function of these; otherwise it makes a new block. Per-call
+draws on the source between fills leave it a few words ahead, and
+``_Block.seek`` finds it there. A block made for one long fill is larger
+than ``READ_AHEAD`` and is dropped after it, so that no sampler holds more
+than ``READ_AHEAD`` words and their vectors between fills.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -52,6 +71,9 @@ from .sources import (
 
 #: most words made per numpy round; bounds the engine's scratch memory
 BLOCK = 1 << 14
+#: fewest words in a block; a block this size outlives its fill, and the
+#: next fill on the same stream starts on its unread words
+READ_AHEAD = 1024
 #: shorter fills run per call, which is cheaper than one numpy round
 PER_CALL_BELOW = 24
 
@@ -81,6 +103,11 @@ def _lcg_jump(k: int):
     """
     a_k = pow(LCG_MULT, k, (LCG_MULT - 1) << 48)
     return a_k & MASK48, LCG_INC * ((a_k - 1) // (LCG_MULT - 1)) & MASK48
+
+
+#: how many words past a block's read position an LCG source is looked for
+_LCG_SEEK = 16
+_LCG_A2, _LCG_C2 = _lcg_jump(2)  # one word: two LCG steps
 
 
 @lru_cache(maxsize=None)
@@ -139,14 +166,111 @@ def _rewind(source: UniformSource, start: int, used: int) -> None:
         source.state = (a * start + c) & MASK48
 
 
+def _inverse(gamma: int) -> int:
+    """gamma^-1 mod 2^64 for an odd gamma, by Newton's iteration; an odd
+    number is its own inverse mod 8, and each step doubles the correct bits."""
+    x = gamma
+    for _ in range(5):
+        x = x * (2 - gamma * x) & MASK64
+    return x
+
+
+class _Block:
+    """A round's words and the sampler's vectors over them.
+
+    Position j stands for `width` words (one ziggurat attempt, one polar
+    pair) and for entry j of the per-position arrays in `data`. `pos` is the
+    read position, `state` the source's state there and `end_state` its
+    state after the last word. Words are a pure function of the source's
+    type, gamma and state, so any source in the state of an unread position
+    may be served from the block.
+    """
+
+    __slots__ = ("kind", "gamma", "inverse", "state", "end_state", "words",
+                 "data", "width", "size", "pos")
+
+    def __init__(self, source: UniformSource, start: int, words: np.ndarray,
+                 data: tuple, width: int):
+        self.kind = type(source)
+        self.gamma = getattr(source, "gamma", None)
+        self.inverse = None
+        self.state = start
+        self.end_state = source.state
+        self.words = words
+        self.data = data
+        self.width = width
+        self.size = words.shape[0] // width
+        self.pos = 0
+
+    def seek(self, source: UniformSource) -> bool:
+        """Move `pos` to where the source sits; False if it is off the block.
+
+        Per-call draws between fills move the source a few words ahead.
+        SplitMix64 finds how far in O(1) from gamma's inverse; the LCG has no
+        cheap inverse and is looked for up to _LCG_SEEK words ahead.
+        """
+        if type(source) is not self.kind or (
+                self.gamma is not None and source.gamma != self.gamma):
+            return False
+        words = 0
+        if source.state != self.state:
+            if self.gamma is not None:
+                if self.inverse is None:
+                    self.inverse = _inverse(self.gamma)
+                words = (source.state - self.state) * self.inverse & MASK64
+            else:
+                s = self.state
+                while s != source.state:
+                    if words == _LCG_SEEK:
+                        return False
+                    s = (_LCG_A2 * s + _LCG_C2) & MASK48
+                    words += 1
+        steps, odd = divmod(words, self.width)
+        if odd or self.pos + steps >= self.size:
+            return False
+        self.pos += steps
+        self.state = source.state
+        return True
+
+
+def _resume(sampler: GaussianSampler, source: UniformSource,
+            want: int = 0) -> _Block | None:
+    """The sampler's block if the source sits on it with at least `want`
+    positions unread, and the source moved past the block's last word, as a
+    new block leaves it.
+
+    A fill that wants more than the block has makes a new block from the
+    source's state instead of taking the rest of this one first, which would
+    cost it a second round.
+    """
+    block = sampler.read_ahead
+    if block is None or not block.seek(source) or block.size - block.pos < want:
+        return None
+    source.state = block.end_state
+    return block
+
+
+def _finish(sampler: GaussianSampler, source: UniformSource, block: _Block,
+            end: int) -> None:
+    """Leave the source at position `end` of the block. A block of at most
+    READ_AHEAD words that still has unread words stays on the sampler; a
+    larger one, made for one long fill, is dropped."""
+    sampler.read_ahead = None
+    if end < block.size:
+        _rewind(source, block.state, (end - block.pos) * block.width)
+        if block.size * block.width <= READ_AHEAD:
+            block.pos, block.state = end, source.state
+            sampler.read_ahead = block
+
+
 class _BlockReader(UniformSource):
     """Serves a block's words from `cursor` on, then the source's next words."""
 
-    def __init__(self, words: np.ndarray, source: UniformSource):
+    def __init__(self, words: np.ndarray, source: UniformSource, cursor: int):
         self.words = words
         self.size = words.shape[0]
         self.source = source
-        self.cursor = 0
+        self.cursor = cursor
 
     def next_u64(self) -> int:
         j = self.cursor
@@ -166,15 +290,36 @@ def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     doubled tables. m * -wtab[i] == -(m * wtab[i]) exactly.
     """
     ktab, wtab = sampler.engine_tables
-    idx = w >> sampler.idx_shift
-    idx &= ktab.shape[0] - 1
-    m = w >> sampler.m_shift
-    m &= sampler.m_mask
-    idx = idx.astype(np.intp)
-    fast = m < ktab[idx]
+    # one of the two fields starts at bit 0 and needs no shift
+    idx = (w >> sampler.idx_shift if sampler.idx_shift else w) & (ktab.shape[0] - 1)
+    m = (w >> sampler.m_shift if sampler.m_shift else w) & sampler.m_mask
+    idx = idx.view(np.intp)
+    fast = m < ktab.take(idx)
     x = m.astype(np.float64)
-    x *= wtab[idx]
+    x *= wtab.take(idx)
     return x, idx, fast
+
+
+def _ziggurat_words(need: int) -> int:
+    """Words to make for `need` more deviates; slow paths read extra words."""
+    return need + (need >> 4) + 16
+
+
+def _ziggurat_block(sampler: ZigguratSampler, source: UniformSource,
+                    need: int) -> _Block:
+    """A new block for `need` more deviates.
+
+    data: each word's fast-path value, sign*n + layer and fast mask, and for
+    the slow positions, four lists: position, sign*n + layer, value and the
+    word after it.
+    """
+    start = source.state
+    words = _words(source, min(BLOCK, max(READ_AHEAD, _ziggurat_words(need))))
+    values, idx, fast = _fast_path(sampler, words)
+    slow = np.flatnonzero(~fast)
+    return _Block(source, start, words, (
+        values, idx, fast, slow.tolist(), idx[slow].tolist(),
+        values[slow].tolist(), words.take(slow + 1, mode="clip").tolist()), 1)
 
 
 def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
@@ -182,23 +327,25 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
     t = sampler.tables
     layer_mask = t.n - 1
     ytab = t.ytab
+    exp = math.exp
     n = out.shape[0]
     filled = 0
     misses = 0  # rejected attempts since the last deviate, across rounds
     while filled < n:
         need = n - filled
-        k = min(BLOCK, need + (need >> 4) + 16)  # slow paths read extra words
-        start = source.state
-        words = _words(source, k)
+        block = (_resume(sampler, source, _ziggurat_words(need))
+                 or _ziggurat_block(sampler, source, need))
         # keep starts as the fast mask and ends as the mask of deviates
-        values, idx, keep = _fast_path(sampler, words)
-        slow = np.flatnonzero(~keep)
-        pos = 0  # first word no attempt has read yet
-        lost = 0  # words before pos that gave no deviate
+        words = block.words
+        values, idx, keep, slow, layers, xs, nexts = block.data
+        k = block.size
+        # pos: first word no attempt has read yet; lost: words before pos
+        # that gave no deviate, the ones before the read position included
+        first = pos = lost = block.pos
         eaten, taken, rejected = [], [], []
-        for s, ii, x, w in zip(slow.tolist(), idx[slow].tolist(),
-                               values[slow].tolist(),
-                               words.take(slow + 1, mode="clip").tolist()):
+        walk = islice(zip(slow, layers, xs, nexts), bisect_left(slow, first),
+                      None)
+        for s, ii, x, w in walk:
             if s < pos:
                 continue  # read by the previous attempt
             if s - lost >= need:
@@ -207,8 +354,7 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
                 misses = 0  # fast deviates lie between
             i = ii & layer_mask
             if i == 0:
-                reader = _BlockReader(words, source)
-                reader.cursor = s + 1
+                reader = _BlockReader(words, source, s + 1)
                 v = tail_sample(reader, t.r)
                 pos = reader.cursor  # past the block if the tail ran over it
                 eaten.extend(range(s + 1, min(pos, k)))
@@ -225,7 +371,7 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
             else:
                 w = source.next_u64()
             y = ytab[i] + ((w >> 11) * _UNIT_SCALE) * (ytab[i + 1] - ytab[i])
-            if y < math.exp(-0.5 * x * x):
+            if y < exp(-0.5 * x * x):
                 taken.append(s)
                 misses = 0
                 continue
@@ -237,18 +383,46 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
                     f"{sampler.algorithm_id} exceeded its iteration guard")
         if pos < k:
             misses = 0  # the block ends in fast deviates
-        keep[eaten] = False
-        keep[taken] = True
+        if eaten:
+            keep[eaten] = False
+        if taken:
+            keep[taken] = True
         got = min(need, max(k, pos) - lost)
-        out[filled:filled + got] = values[keep][:got]
-        filled += got
         end = got + lost  # words read by the deviates used and the attempts before
+        out[filled:filled + got] = (
+            values[first:end] if lost == first  # no slow attempt among them
+            else values[first:end][keep[first:end]])
+        filled += got
         if counts is not None:
-            keep[rejected] = True  # every attempt, whether it gave a deviate or not
-            counts += np.bincount(idx[:end][keep[:end]] & layer_mask,
+            if rejected:
+                keep[rejected] = True  # every attempt, deviate or not
+            counts += np.bincount(idx[first:end][keep[first:end]] & layer_mask,
                                   minlength=t.n)
-        if end < k:
-            _rewind(source, start, end)
+        _finish(sampler, source, block, end)
+
+
+def _polar_attempts(pairs: int) -> int:
+    """Attempts to make for `pairs` more accepted pairs; pi/4 of attempts
+    accept, so this asks for 1.31 per pair and a few more."""
+    return pairs + (pairs >> 2) + (pairs >> 4) + 16
+
+
+def _polar_block(source: UniformSource, pairs: int) -> _Block:
+    """A new block for `pairs` more accepted pairs.
+
+    data: v1, v2 and s of each attempt, and the accepted attempts.
+    """
+    attempts = min(BLOCK // 2, max(READ_AHEAD // 2, _polar_attempts(pairs)))
+    start = source.state
+    words = _words(source, 2 * attempts)
+    v = (words >> np.uint64(11)).astype(np.float64)
+    v *= 2.0 * _UNIT_SCALE  # a power of two, so as exact as two steps
+    v -= 1.0
+    v1, v2 = v[0::2], v[1::2]
+    s = v1 * v1
+    s += v2 * v2
+    return _Block(source, start, words,
+                  (v1, v2, s, np.flatnonzero((s > 0.0) & (s < 1.0))), 2)
 
 
 def _fill_polar(sampler: PolarSampler, source: UniformSource,
@@ -262,19 +436,14 @@ def _fill_polar(sampler: PolarSampler, source: UniformSource,
     misses = 0  # rejected attempts since the last accepted one
     while filled < n:
         pairs = (n - filled + 1) // 2
-        # pi/4 of attempts accept; ask for 1.31 per pair needed
-        attempts = min(BLOCK // 2, pairs + (pairs >> 2) + (pairs >> 4) + 16)
-        start = source.state
-        v = (_words(source, 2 * attempts) >> np.uint64(11)).astype(np.float64)
-        v *= _UNIT_SCALE
-        v *= 2.0
-        v -= 1.0
-        v1, v2 = v[0::2], v[1::2]
-        s = v1 * v1
-        s += v2 * v2
-        accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
-        first = accepted[0] if accepted.size else attempts
-        if misses + first >= LOOP_GUARD:
+        block = (_resume(sampler, source, _polar_attempts(pairs))
+                 or _polar_block(source, pairs))
+        v1, v2, s, accepted = block.data
+        first = block.pos
+        if first:
+            accepted = accepted[accepted.searchsorted(first):]
+        ahead = int(accepted[0]) - first if accepted.size else block.size - first
+        if misses + ahead >= LOOP_GUARD:
             raise RejectionLoopExceeded("polar method exceeded its iteration guard")
         take = accepted[:pairs]
         s = s[take]
@@ -282,22 +451,39 @@ def _fill_polar(sampler: PolarSampler, source: UniformSource,
         mul *= -2.0
         mul /= s
         np.sqrt(mul, out=mul)
-        dev = np.empty(2 * take.size, dtype=np.float64)
-        np.multiply(v1[take], mul, out=dev[0::2])
-        np.multiply(v2[take], mul, out=dev[1::2])
-        got = min(dev.shape[0], n - filled)
-        out[filled:filled + got] = dev[:got]
-        filled += got
-        if got < dev.shape[0]:
-            sampler.spare = dev.item(got)
+        # whole pairs go straight into out; an odd last deviate leaves a spare
+        whole = min(take.size, (n - filled) // 2)
+        dev = out[filled:filled + 2 * whole]
+        np.multiply(v1[take[:whole]], mul[:whole], out=dev[0::2])
+        np.multiply(v2[take[:whole]], mul[:whole], out=dev[1::2])
+        filled += 2 * whole
+        if whole < take.size:
+            m, at = mul.item(whole), take.item(whole)
+            out[filled] = v1.item(at) * m
+            sampler.spare = v2.item(at) * m
+            filled += 1
         if take.size == pairs:
-            used = 2 * (int(take[-1]) + 1)
-            if used < 2 * attempts:
-                _rewind(source, start, used)
-        elif accepted.size:
-            misses = attempts - 1 - int(accepted[-1])
+            _finish(sampler, source, block, int(take[-1]) + 1)
+            continue
+        sampler.read_ahead = None
+        if accepted.size:
+            misses = block.size - 1 - int(accepted[-1])
         else:
-            misses += attempts
+            misses += block.size - first
+
+
+def _fill_per_call(sampler: GaussianSampler, source: UniformSource,
+                   out: np.ndarray, counts: np.ndarray | None) -> None:
+    """Fill one deviate per call, reading the sampler's block first if the
+    source sits on it, so that the block's read position keeps in step."""
+    block = _resume(sampler, source)
+    reader = source if block is None else _BlockReader(
+        block.words, source, block.pos * block.width)
+    for j in range(out.shape[0]):
+        out[j] = (sampler.next_gaussian(reader) if counts is None
+                  else sampler._draw(reader, counts))
+    if block is not None:
+        _finish(sampler, source, block, reader.cursor // block.width)
 
 
 def fill_u64(source: UniformSource, out: np.ndarray) -> None:
@@ -329,9 +515,7 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
             raise ValueError(f"counts needs shape ({sampler.tables.n},), "
                              f"got {counts.shape}")
     if out.shape[0] < PER_CALL_BELOW or not supports(source):
-        for j in range(out.shape[0]):
-            out[j] = (sampler.next_gaussian(source) if counts is None
-                      else sampler._draw(source, counts))
+        _fill_per_call(sampler, source, out, counts)
         return
     if isinstance(sampler, PolarSampler):
         _fill_polar(sampler, source, out)

@@ -62,6 +62,8 @@ class GaussianSampler(abc.ABC):
     """A standard-normal sampler fed by an external uniform source."""
 
     algorithm_id: str = "abstract"
+    #: the batch engine's last block for this sampler (see gausszig.engine)
+    read_ahead = None
 
     @abc.abstractmethod
     def next_gaussian(self, src: UniformSource) -> float:

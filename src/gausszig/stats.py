@@ -55,6 +55,8 @@ def normal_quantile(p: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: no step can move mid
         if normal_cdf(mid) < p:
             lo = mid
         else:

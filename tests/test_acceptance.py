@@ -202,6 +202,7 @@ class TestCriterion8ConfidenceIntervalMath:
 
 
 class TestCriterion1OrderingReproduction:
+    @pytest.mark.slow
     @pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])
     def test_ziggurat_at_least_twice_as_fast_as_polar(self, source_id):
         cfg = BenchConfig.paper(DEFAULT_SEED)

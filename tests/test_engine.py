@@ -314,3 +314,241 @@ def test_supports_reports_capability():
     assert engine.supports(make_source("lcg48", 0))
     assert engine.supports(make_source("splitmix", 0))
     assert not engine.supports(ScriptedSource([1, 2, 3]))
+
+
+# -- the read-ahead block: a fill that continues a stream starts on the words
+# -- the previous fill made and did not use
+
+
+def _reference(sampler_id, source, layers=None):
+    """A per-call sampler and a copy of `source` to drive it."""
+    twin = type(source).__new__(type(source))
+    twin.__dict__.update(source.__dict__)
+    return make_sampler(sampler_id, layers), twin
+
+
+def _count_words(monkeypatch):
+    """Count the engine's calls to its word maker."""
+    calls = []
+    make = engine._words
+
+    def counted(source, k):
+        calls.append(k)
+        return make(source, k)
+
+    monkeypatch.setattr(engine, "_words", counted)
+    return calls
+
+
+def _fill(sampler, source, n, counts=None):
+    out = np.empty(n, dtype=np.float64)
+    engine.fill_gaussians(sampler, source, out, counts)
+    return out.tolist()
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+@pytest.mark.parametrize("draws", [1, 2, 3, 4, 5])
+def test_read_ahead_survives_per_call_draws_between_fills(
+        monkeypatch, source_id, sampler_id, draws):
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler(sampler_id), make_source(source_id, 77)
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    got, ref = [], []
+    for size in (100, 40, 300, 25, 64):
+        got += _fill(sampler, source, size)
+        ref += [ref_sampler.next_gaussian(ref_source) for _ in range(size)]
+        got += [sampler.next_gaussian(source) for _ in range(draws)]
+        ref += [ref_sampler.next_gaussian(ref_source) for _ in range(draws)]
+    assert got == ref
+    assert source.state == ref_source.state
+    assert getattr(sampler, "spare", None) == getattr(ref_sampler, "spare", None)
+    assert len(calls) == 1  # every later fill started on the first block
+
+
+@pytest.mark.parametrize("sampler_id", ["polar", "ziggurat", "modified-ziggurat"])
+@pytest.mark.parametrize("same_gamma", [True, False])
+def test_one_sampler_switched_between_two_sources(sampler_id, same_gamma):
+    a = SplitMix64(1)
+    b = SplitMix64(2) if same_gamma else SplitMix64(2, 0x1234567890ABCDEF)
+    sampler = make_sampler(sampler_id)
+    ref_sampler = make_sampler(sampler_id)
+    ref_a, ref_b = SplitMix64(a.state, a.gamma), SplitMix64(b.state, b.gamma)
+    got, ref = [], []
+    for k, size in enumerate((50, 30, 700, 24, 99, 1, 3000, 60)):
+        src, ref_src = (a, ref_a) if k % 2 == 0 else (b, ref_b)
+        got += _fill(sampler, src, size)
+        ref += [ref_sampler.next_gaussian(ref_src) for _ in range(size)]
+    assert got == ref
+    assert (a.state, b.state) == (ref_a.state, ref_b.state)
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+def test_fill_larger_than_the_block_left_makes_one_block(monkeypatch,
+                                                         source_id, sampler_id):
+    # the unread words are made again as the start of the new block, so the
+    # long fill takes one round, not one on the old block and one on the new
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler(sampler_id), make_source(source_id, 21)
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    got = _fill(sampler, source, 300) + _fill(sampler, source, 3000)
+    assert len(calls) == 2
+    assert calls[1] > 3000
+    assert sampler.read_ahead is None  # larger than READ_AHEAD: dropped
+    assert got == [ref_sampler.next_gaussian(ref_source) for _ in range(3300)]
+    assert source.state == ref_source.state
+
+
+@pytest.mark.parametrize("sampler_id", ["polar", "ziggurat", "modified-ziggurat"])
+def test_same_state_under_another_gamma_is_off_the_block(sampler_id):
+    sampler, a = make_sampler(sampler_id), SplitMix64(9)
+    _fill(sampler, a, 100)
+    b = SplitMix64(a.state, 0x1234567890ABCDEF)  # at the block's read state
+    ref_sampler, ref_b = _reference(sampler_id, b)
+    assert _fill(sampler, b, 100) == [ref_sampler.next_gaussian(ref_b)
+                                      for _ in range(100)]
+    assert b.state == ref_b.state
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+def test_source_set_back_gets_no_stale_words(source_id, sampler_id):
+    # after a replay the fill must read the words of the state it is given,
+    # not those the block would have served next
+    sampler, source = make_sampler(sampler_id), make_source(source_id, 5)
+    _fill(sampler, source, 6)  # even, so that no polar spare is left
+    mark = source.state
+    second = _fill(sampler, source, 200)
+    source.state = mark
+    assert _fill(sampler, source, 200) == second
+    source.state = make_source(source_id, 5).state
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    assert _fill(sampler, source, 300) == [
+        ref_sampler.next_gaussian(ref_source) for _ in range(300)]
+
+
+def _deviates_ending_at(sampler_id, source_id, seed, words):
+    """How many deviates the per-call path makes in exactly `words` words,
+    a pending polar spare included, or None when a deviate straddles that
+    point."""
+    sampler = make_sampler(sampler_id)
+    source = CountingSource(make_source(source_id, seed))
+    made = 0
+    while source.draws < words:
+        sampler.next_gaussian(source)
+        made += 1
+    made += getattr(sampler, "spare", None) is not None
+    return made if source.draws == words else None
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+def test_fills_ending_exactly_at_the_block_end(monkeypatch, source_id,
+                                               sampler_id):
+    # short fills read the block one word at a time, so one of them can stop
+    # on its last word; the block is spent then, and the next fill makes one
+    calls = _count_words(monkeypatch)
+    size = engine.READ_AHEAD  # the block a 30-deviate fill makes
+    for seed in range(40):
+        made = _deviates_ending_at(sampler_id, source_id, seed, size)
+        if made is not None:
+            break
+    else:
+        pytest.fail("no seed gives a deviate boundary at the block end")
+    sampler, source = make_sampler(sampler_id), make_source(source_id, seed)
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    got = _fill(sampler, source, 30)
+    while len(got) < made:
+        got += _fill(sampler, source, min(made - len(got),
+                                          engine.PER_CALL_BELOW - 1))
+        assert (sampler.read_ahead is None) == (len(got) == made)
+    assert len(calls) == 1
+    got += _fill(sampler, source, 40)
+    assert len(calls) == 2
+    assert got == [ref_sampler.next_gaussian(ref_source)
+                   for _ in range(made + 40)]
+    assert source.state == ref_source.state
+
+
+@pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])
+def test_polar_spare_and_odd_offset(source_id):
+    # a raw word drawn between fills leaves the source an odd number of
+    # words into the block, where no polar attempt starts
+    sampler, source = make_sampler("polar"), make_source(source_id, 12)
+    ref_sampler, ref_source = _reference("polar", source)
+    got = _fill(sampler, source, 31)
+    assert sampler.spare is not None
+    got.append(source.next_u64())
+    got += _fill(sampler, source, 31)
+    got.append(source.next_u64())
+    got += _fill(sampler, source, 7) + _fill(sampler, source, 100)
+    ref = [ref_sampler.next_gaussian(ref_source) for _ in range(31)]
+    ref.append(ref_source.next_u64())
+    ref += [ref_sampler.next_gaussian(ref_source) for _ in range(31)]
+    ref.append(ref_source.next_u64())
+    ref += [ref_sampler.next_gaussian(ref_source) for _ in range(107)]
+    assert got == ref
+    assert (source.state, sampler.spare) == (ref_source.state, ref_sampler.spare)
+
+
+@pytest.mark.parametrize("source_id,sampler_id", ZIGGURAT_PAIRINGS)
+def test_counts_carried_across_read_ahead_fills(monkeypatch, source_id,
+                                                sampler_id):
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler(sampler_id, 8), make_source(source_id, 3)
+    ref_source = make_source(source_id, 3)
+    counts = np.zeros(8, dtype=np.int64)
+    sizes = (30, 5, 200, 1, 23, 400, 24, 7, 900)
+    got = []
+    for size in sizes:
+        got += _fill(sampler, source, size, counts)
+    ref, ref_counts = make_sampler(sampler_id, 8).sample_with_occupancy(
+        ref_source, sum(sizes))
+    assert got == ref
+    assert counts.tolist() == ref_counts
+    assert source.state == ref_source.state
+    assert len(calls) < len(sizes) // 2  # most fills started on a block
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+def test_randomized_chunk_plan_matches_per_call(source_id, sampler_id):
+    # log-uniform fill sizes 1..4096 with per-call draws between some of
+    # them, as a long-lived stream in a program sees them
+    rng = np.random.default_rng(sum(map(ord, source_id + sampler_id)))
+    layers = None if sampler_id == "polar" else 16
+    sampler = make_sampler(sampler_id, layers)
+    source = make_source(source_id, int(rng.integers(1 << 30)))
+    ref_sampler, ref_source = _reference(sampler_id, source, layers)
+    got, ref = [], []
+    for _ in range(60):
+        size = int(4097 ** rng.random())
+        got += _fill(sampler, source, size)
+        ref += [ref_sampler.next_gaussian(ref_source) for _ in range(size)]
+        if rng.random() < 0.3:
+            draws = int(rng.integers(1, 6))
+            got += [sampler.next_gaussian(source) for _ in range(draws)]
+            ref += [ref_sampler.next_gaussian(ref_source) for _ in range(draws)]
+    assert np.array_equal(np.array(got).view(np.uint64),
+                          np.array(ref).view(np.uint64))
+    assert source.state == ref_source.state
+    assert getattr(sampler, "spare", None) == getattr(ref_sampler, "spare", None)
+
+
+@pytest.mark.parametrize("sampler_id", ["polar", "ziggurat", "modified-ziggurat"])
+def test_loop_guard_counts_across_rounds(monkeypatch, sampler_id):
+    # more misses in a row than one block holds, with the guard just above
+    # them: the engine must carry the count from round to round
+    guard = engine.READ_AHEAD * 2
+    monkeypatch.setattr(engine, "LOOP_GUARD", guard)
+    monkeypatch.setattr(samplers_mod, "LOOP_GUARD", guard)
+    calls = []
+
+    def counted(source, k):
+        calls.append(k)
+        return _tape_words(source, k)
+
+    monkeypatch.setattr(engine, "_words", counted)
+    tape = _stuck_tape(sampler_id, guard - 1)
+    ref_sampler, ref_source = make_sampler(sampler_id), ScriptedSource(tape)
+    ref = [ref_sampler.next_gaussian(ref_source) for _ in range(40)]
+    buf = np.empty(40, dtype=np.float64)
+    engine.fill_gaussians(make_sampler(sampler_id), _Tape(tape), buf)
+    assert buf.tolist() == ref
+    assert len(calls) >= 3

@@ -89,6 +89,28 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             normal_quantile(p)
 
+    @staticmethod
+    def _full_bisection(p):
+        # the quantile as it was computed before the early exit: all 200
+        # halvings, whether or not they still move lo or hi
+        lo, hi = -40.0, 40.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if normal_cdf(mid) < p:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_early_exit_is_bit_identical_to_full_bisection(self):
+        rng = np.random.default_rng(11)
+        ps = [j / bins for bins in (2, 10, 100, 1000) for j in range(1, bins)]
+        ps += rng.random(2000).tolist()
+        ps += (10.0 ** rng.uniform(-300, -1, 100)).tolist()
+        ps += [1e-300, 5e-324, 0.5 - 1e-17, 1 - 2 ** -53]
+        for p in ps:
+            assert normal_quantile(p) == self._full_bisection(p), p
+
 
 class TestSpecialFunctions:
     def test_gamma_q_against_scipy(self):

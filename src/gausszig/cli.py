@@ -135,6 +135,8 @@ def _bench_text(results, fmt: str) -> str:
         docs = []
         for r in results:
             doc = asdict(r)
+            # the CI's share of the estimate: how much speed a run can tell
+            doc["ci_relative"] = r.ci_half_width / r.ns_per_op
             if id(r) in pct:
                 doc["percent_faster_vs_polar"] = pct[id(r)]
             docs.append(doc)

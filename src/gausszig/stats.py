@@ -6,20 +6,30 @@ its own special functions (erfc-based normal CDF, regularized incomplete
 gamma for chi-square tails); the test suite checks them against independent
 oracles. Everything here is a pure function of its inputs.
 
-The gates that touch every deviate work over blocks of BLOCK elements, so
+The gates that touch every deviate work over blocks of bounded size, so
 their temporaries stay small at any n. `moments` is a two-pass method: the
-mean first, then the central power sums. `ks_test` and `chi_square_gof` read
-the sorted sample, and sort a copy only when their input is not already
+mean first, then the central power sums, accumulated over blocks of BLOCK
+elements in two reused buffers. `ks_test` and `chi_square_gof` read the
+sorted sample, and sort a copy only when their input is not already
 ascending, so a caller that sorts its sample once in place holds one array.
-`ks_test` screens the sorted sample with a vectorized erfc approximation and
-takes the statistic from the scalar `normal_cdf` at every index within a
-guard band of the screened maximum, so its result equals a per-element
+
+`ks_test` bounds each run of _KS_RUN consecutive sorted points by the CDF at
+its two ends: the normal CDF is monotone, so no gap inside the run of 1-based
+indices a..b exceeds max(b/n - F(x_a), F(x_b) - (a-1)/n). It evaluates a
+vectorized erfc approximation, within _KS_EPS of `normal_cdf`, at the run
+ends, drops every run whose bound plus 2*_KS_EPS falls below the largest
+approximate gap, and screens the points of the runs left. The run holding
+the exact maximum is never dropped, and its index is never outside the
+guard band of the screened maximum, so taking the statistic from the scalar
+`normal_cdf` at every index in that band makes it equal a per-element
 evaluation bit for bit. `chi_square_gof` counts each bin as the difference
-of two positions of its edges in the sorted sample.
+of two positions of its edges in the sorted sample; the equal-probability
+edges are computed once per process and bin count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +40,19 @@ from .sources import UniformSource
 
 _SQRT2 = math.sqrt(2.0)
 
-#: elements per block in moments, ks_test and the ascending check
+#: elements per block in moments and the ascending check
 BLOCK = 1 << 16
 
 #: bound on |approximate CDF - normal_cdf| that ks_test's guard band assumes;
 #: the Numerical Recipes erfcc below is within 6e-8 (fractional error of erfc
 #: < 1.2e-7, halved in the CDF)
 _KS_EPS = 1e-6
+
+#: consecutive sorted points that ks_test bounds by the CDF at their two ends
+_KS_RUN = 128
+
+#: most points (of runs the bound keeps) and runs that ks_test screens at once
+_KS_PIECE = 128 * _KS_RUN
 
 
 # --- special functions -------------------------------------------------
@@ -213,12 +229,16 @@ def moments(samples) -> MomentSummary:
     # sum/n of a constant sample can miss the constant by an ulp
     mean = float(lo) if lo == hi else float(arr.sum()) / n
     m2 = m3 = m4 = 0.0
+    # two buffers reused by every block: d, then d^3, and d^2, then d^4
+    buf_d = np.empty(min(n, BLOCK))
+    buf_d2 = np.empty_like(buf_d)
     for start in range(0, n, BLOCK):
-        d = arr[start:start + BLOCK] - mean
-        d2 = d * d
+        block = arr[start:start + BLOCK]
+        d = np.subtract(block, mean, out=buf_d[:block.shape[0]])
+        d2 = np.multiply(d, d, out=buf_d2[:block.shape[0]])
         m2 += float(d2.sum())
-        m3 += float((d2 * d).sum())
-        m4 += float((d2 * d2).sum())
+        m3 += float(np.multiply(d2, d, out=d).sum())
+        m4 += float(np.multiply(d2, d2, out=d2).sum())
     variance = m2 / (n - 1)
     if m2 == 0.0:
         skew = 0.0
@@ -264,15 +284,40 @@ def _ks_gaps(cdf_vals: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(i / n - cdf_vals, cdf_vals - (i - 1.0) / n)
 
 
+def _ks_live_runs(arr: np.ndarray, start: int, best: float):
+    # of the next _KS_PIECE runs from index start, the first indices of
+    # those whose approximate bound is within 2*_KS_EPS of the largest
+    # approximate gap, and that gap: best or one at an end of these runs
+    n = arr.shape[0]
+    first = np.arange(start, min(n, start + _KS_PIECE * _KS_RUN), _KS_RUN)
+    last = np.minimum(first + (_KS_RUN - 1), n - 1)
+    f_first = _approx_normal_cdf(arr[first])
+    f_last = _approx_normal_cdf(arr[last])
+    best = max(best, float(_ks_gaps(f_first, first + 1.0, n).max()),
+               float(_ks_gaps(f_last, last + 1.0, n).max()))
+    bound = np.maximum((last + 1.0) / n - f_first, f_last - first / n)
+    return first[bound + 2.0 * _KS_EPS >= best], best
+
+
 def ks_test(samples) -> KsReport:
     """Two-sided KS statistic of a sample against the standard normal.
 
-    The sorted sample is screened block by block with an approximate CDF
-    within _KS_EPS of normal_cdf, so no approximate gap is off by more than
-    _KS_EPS and the index of the exact maximum gap scores within 2*_KS_EPS
-    of the approximate maximum. Every index in that band is recomputed with
-    normal_cdf, and the statistic is the exact maximum over them. A sample
-    whose gaps all tie within the band costs one normal_cdf per element.
+    The sorted sample is cut into runs of _KS_RUN consecutive points. The
+    normal CDF is monotone, so no gap inside the run of 1-based indices
+    a..b exceeds max(b/n - F(x_a), F(x_b) - (a-1)/n). That bound is taken
+    from an approximate CDF within _KS_EPS of normal_cdf, evaluated at the
+    run's two ends only. Every approximate gap is within _KS_EPS of its
+    exact gap, so the exact maximum is at least the largest approximate gap
+    found so far minus _KS_EPS, and the run holding it has an approximate
+    bound of at least that maximum minus 2*_KS_EPS: each run whose bound
+    falls lower is dropped. The runs left are screened point by point,
+    _KS_PIECE points at a time. The index of the exact maximum gap scores
+    within 2*_KS_EPS of the approximate maximum; every index in that band is
+    recomputed with normal_cdf, and the statistic is the exact maximum over
+    them, so it equals a per-element evaluation bit for bit. A sample whose
+    runs all survive costs the approximate CDF at every point, as without
+    the run bound, and one whose gaps all tie within the band one
+    normal_cdf per element.
     """
     arr = _sorted(samples)
     n = arr.shape[0]
@@ -285,15 +330,28 @@ def ks_test(samples) -> KsReport:
 
     best = -math.inf
     kept_idx, kept_gap = [], []
-    for start in range(0, n, BLOCK):
-        block = arr[start:start + BLOCK]
-        i = np.arange(start + 1, start + 1 + block.shape[0], dtype=np.float64)
-        gaps = _ks_gaps(_approx_normal_cdf(block), i, n)
-        best = max(best, float(gaps.max()))
-        # the band only tightens as best grows; the final cut is below
-        keep = np.flatnonzero(gaps >= best - 2.0 * _KS_EPS)
-        kept_idx.append(keep + start)
-        kept_gap.append(gaps[keep])
+    offsets = np.arange(_KS_RUN)
+    runs_per_piece = _KS_PIECE // _KS_RUN
+    # runs are bounded _KS_PIECE at a time, so no scratch grows with n
+    for start in range(0, n, _KS_PIECE * _KS_RUN):
+        live, best = _ks_live_runs(arr, start, best)
+        for k in range(0, live.shape[0], runs_per_piece):
+            runs = live[k:k + runs_per_piece]
+            # the sample's last run may be short
+            lo, hi = runs[0], min(n, runs[-1] + _KS_RUN)
+            if runs[-1] - lo == (runs.shape[0] - 1) * _KS_RUN:
+                # adjacent runs are read as a view, not gathered
+                idx, vals = np.arange(lo, hi), arr[lo:hi]
+            else:
+                idx = (runs[:, None] + offsets).ravel()[
+                    :(runs.shape[0] - 1) * _KS_RUN + hi - runs[-1]]
+                vals = arr[idx]
+            gaps = _ks_gaps(_approx_normal_cdf(vals), idx + 1.0, n)
+            best = max(best, float(gaps.max()))
+            # the band only tightens as best grows; the final cut is below
+            keep = np.flatnonzero(gaps >= best - 2.0 * _KS_EPS)
+            kept_idx.append(idx[keep])
+            kept_gap.append(gaps[keep])
     idx = np.concatenate(kept_idx)
     idx = idx[np.concatenate(kept_gap) >= best - 2.0 * _KS_EPS]
 
@@ -388,4 +446,10 @@ def equal_probability_edges(bins: int) -> list:
     """Interior normal-quantile edges splitting the line into equal-mass bins."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    return [normal_quantile(j / bins) for j in range(1, bins)]
+    return list(_equal_probability_edges(bins))
+
+
+@functools.lru_cache(maxsize=8)
+def _equal_probability_edges(bins: int) -> tuple:
+    # a tuple, so the one cached copy per bin count cannot be changed
+    return tuple(normal_quantile(j / bins) for j in range(1, bins))

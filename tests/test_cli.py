@@ -438,7 +438,8 @@ class TestBench:
             doc = {"sampler_id": sid, "source_id": src, "ns_per_op": ns,
                    "ci_half_width": ci, "per_iteration_ns_per_op": its,
                    "ops_total": 524288, "checksum": checksum, "seed": 3,
-                   "confidence": 0.999, "engine_used": "numpy"}
+                   "confidence": 0.999, "engine_used": "numpy",
+                   "ci_relative": ci / ns}
             if j in percent:
                 doc["percent_faster_vs_polar"] = percent[j]
             docs.append(doc)

@@ -18,8 +18,11 @@ from gausszig import (
     normal_cdf,
     normal_quantile,
 )
+from gausszig import stats
 from gausszig.stats import (
     BLOCK,
+    MomentSummary,
+    _approx_normal_cdf,
     chi_square_sf,
     regularized_gamma_q,
     uniform_counts_gof,
@@ -179,6 +182,33 @@ class TestMoments:
         s = moments(shifted)
         assert abs(s.variance - np.var(shifted, ddof=1)) < 1e-6
 
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_bit_identical_to_the_block_loop_with_fresh_temporaries(self, n):
+        data = np.random.default_rng(n).normal(0.3, 1.7, size=n)
+        assert moments(data) == _moments_fresh_temporaries(data)
+
+
+def _moments_fresh_temporaries(arr):
+    """moments as it was computed before the block loop reused two buffers:
+    d, d^2, d^3 and d^4 as new arrays in every block."""
+    n = arr.shape[0]
+    lo, hi = arr.min(), arr.max()
+    mean = float(lo) if lo == hi else float(arr.sum()) / n
+    m2 = m3 = m4 = 0.0
+    for start in range(0, n, BLOCK):
+        d = arr[start:start + BLOCK] - mean
+        d2 = d * d
+        m2 += float(d2.sum())
+        m3 += float((d2 * d).sum())
+        m4 += float((d2 * d2).sum())
+    if m2 == 0.0:
+        skew = kurt = 0.0
+    else:
+        skew = math.sqrt(float(n)) * m3 / m2 ** 1.5
+        kurt = n * m4 / (m2 * m2) - 3.0
+    return MomentSummary(n=n, mean=mean, variance=m2 / (n - 1),
+                         skewness=skew, excess_kurtosis=kurt)
+
 
 def ks_reference(samples):
     """Per-element KS distance against the standard normal."""
@@ -200,8 +230,59 @@ def _engine_deviates(n):
     return buf
 
 
+_RUN = stats._KS_RUN
+
+
+def _grid(n):
+    # the sample whose every gap is 0.5/n
+    return sps.ndtri((np.arange(n) + 0.5) / n)
+
+
+def _tied(x, start, stop, at, peak):
+    # points start..stop-1 all at x[at], which keeps x ascending, and the
+    # largest gap then at the 1-based index peak alone
+    x[start:stop] = x[at]
+    f = np.array([normal_cdf(v) for v in x.tolist()])
+    i = np.arange(1, x.shape[0] + 1)
+    gaps = np.maximum(i / x.shape[0] - f, f - (i - 1) / x.shape[0])
+    assert np.flatnonzero(gaps == gaps.max()).tolist() == [peak - 1]
+    return x
+
+
+def _near_equal_maxima():
+    # two runs of ties, each a whole run, whose first gaps differ by less
+    # than the approximate CDF's error and rank the other way round under
+    # it: a run bound without the 2*_KS_EPS drops the exact maximum's run
+    n, a, b = 6 * _RUN, _RUN, 4 * _RUN
+    x = _grid(n)
+
+    def err(v):
+        return float(_approx_normal_cdf(np.array([v]))[0]) - normal_cdf(v)
+
+    x[a:a + _RUN] = xa = float(sps.ndtri((a + 100) / n))
+    ga = normal_cdf(xa) - a / n
+    delta = 0.5 * (err(float(sps.ndtri((b + 100) / n))) - err(xa))
+    x[b:b + _RUN] = xb = normal_quantile(b / n + ga - delta)
+    gb = normal_cdf(xb) - b / n
+    assert 0.0 < ga - gb < err(xb) - err(xa)
+    return x
+
+
 KS_CASES = {
     "engine_1e5": lambda: _engine_deviates(100_000),
+    # index 151 is strictly inside the run of indices 129..256
+    "max_inside_a_run": lambda: _tied(_grid(1000), 150, 190, 180, 151),
+    "max_at_index_1": lambda: _tied(_grid(1000), 0, 8, 6, 1),
+    # index n is the last run alone
+    "max_at_index_n": lambda: _tied(_grid(3 * _RUN + 1), 3 * _RUN - 7,
+                                    3 * _RUN + 1, 3 * _RUN - 6, 3 * _RUN + 1),
+    "below_one_run": lambda: np.random.default_rng(67).normal(size=_RUN - 28),
+    "runs_minus_1": lambda: np.random.default_rng(71).normal(size=3 * _RUN - 1),
+    "runs_plus_1": lambda: np.random.default_rng(73).normal(size=3 * _RUN + 1),
+    "near_equal_maxima": _near_equal_maxima,
+    # every run survives its bound and every index is in the band, over
+    # several pieces
+    "grid_over_pieces": lambda: _grid(2 * stats._KS_PIECE + 5),
     "shifted_normal": lambda: np.random.default_rng(31).normal(0.3, 1.2, 20_000),
     # every index's gap is ~0.5/n, so every index is a near-tie
     "quantile_grid": lambda: [normal_quantile((i - 0.5) / 2000)
@@ -364,6 +445,32 @@ class TestSortedSample:
         assert chi_square_gof(x, edges) == rep
         assert chi_square_gof(np.sort(x), edges) == rep
 
+    def test_ks_evaluates_the_approximate_cdf_at_few_points(
+            self, monkeypatch):
+        arr = np.sort(_engine_deviates(1_000_000))
+        sizes = []
+        approx = stats._approx_normal_cdf
+
+        def counting(x):
+            sizes.append(x.size)
+            return approx(x)
+
+        monkeypatch.setattr(stats, "_approx_normal_cdf", counting)
+        ks_test(arr)
+        assert sum(sizes) < 0.1 * arr.shape[0]
+
+    @pytest.mark.parametrize("gate,limit", [(ks_test, 1.5e6),
+                                            (moments, 1.2e6)])
+    def test_gate_scratch_is_small(self, gate, limit):
+        arr = np.sort(_engine_deviates(1_000_000))
+        tracemalloc.start()
+        try:
+            gate(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
     def test_sorted_sample_is_read_without_an_n_sized_copy(self):
         arr = np.sort(_engine_deviates(1_000_000))
         edges = equal_probability_edges(100)
@@ -464,6 +571,13 @@ class TestEqualProbabilityEdges:
     def test_requires_two_bins(self):
         with pytest.raises(ValueError):
             equal_probability_edges(1)
+
+    @pytest.mark.parametrize("bins", [2, 10, 100, 1000])
+    def test_each_call_returns_the_same_edges_in_a_new_list(self, bins):
+        edges = equal_probability_edges(bins)
+        assert edges == [normal_quantile(j / bins) for j in range(1, bins)]
+        edges[0] = 99.0
+        assert equal_probability_edges(bins)[0] == normal_quantile(1 / bins)
 
 
 class TestReportSerialization:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -247,6 +248,10 @@ def cmd_sample(args) -> int:
     if args.n > MAX_N:
         print(f"--n must be <= {MAX_N}, got {args.n}", file=sys.stderr)
         return 2
+    for flag, value in (("--mu", args.mu), ("--sigma", args.sigma)):
+        if not math.isfinite(value):
+            print(f"{flag} must be finite, got {value}", file=sys.stderr)
+            return 2
     if args.sigma < 0:
         print(f"--sigma must be >= 0, got {args.sigma}", file=sys.stderr)
         return 2

@@ -19,9 +19,8 @@ spare deviate.
 from __future__ import annotations
 
 import abc
+import functools
 import math
-
-import numpy as np
 
 from .sources import UniformSource
 from .tables import ZigguratTables, build_ziggurat_tables
@@ -98,12 +97,16 @@ class ZigguratSampler(GaussianSampler):
         self._draw_args = (tables.ktab, tables.wtab, tables.ytab, tables.r,
                            tables.n - 1, self.idx_shift, self.sign_bit,
                            self.m_shift, self.m_mask)
-        # the batch engine's (ktab, wtab), indexed by sign*n + layer, with
-        # wtab negated in the top half
-        ktab = np.array(tables.ktab, dtype=np.uint64)
-        wtab = np.array(tables.wtab, dtype=np.float64)
-        self.engine_tables = (np.concatenate([ktab, ktab]),
-                              np.concatenate([wtab, -wtab]))
+
+    @functools.cached_property
+    def engine_tables(self):
+        """The batch engine's (ktab, wtab), indexed by sign*n + layer, with
+        wtab negated in the top half; built on the engine's first read."""
+        import numpy as np
+
+        ktab = np.array(self.tables.ktab, dtype=np.uint64)
+        wtab = np.array(self.tables.wtab, dtype=np.float64)
+        return (np.concatenate([ktab, ktab]), np.concatenate([wtab, -wtab]))
 
     def next_gaussian(self, src: UniformSource) -> float:
         return self._draw(src, None)
@@ -176,7 +179,7 @@ class PolarSampler(GaussianSampler):
 def gaussian_affine(src: UniformSource, sampler: GaussianSampler,
                     mu: float, sigma: float) -> float:
     """Return one N(mu, sigma^2) deviate; sigma must be >= 0."""
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     return mu + sigma * sampler.next_gaussian(src)
 

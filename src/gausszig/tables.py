@@ -9,7 +9,6 @@ bisection. Tables are immutable once built and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -174,6 +173,8 @@ def tables_to_json(t: ZigguratTables) -> str:
 
 def tables_from_json(text: str) -> ZigguratTables:
     """Reload tables serialized by :func:`tables_to_json`, bit-exactly."""
+    import json
+
     doc = json.loads(text)
     tables = ZigguratTables(
         n=int(doc["n"]),

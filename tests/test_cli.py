@@ -88,6 +88,16 @@ class TestSample:
         assert rc == 2
         assert str(MAX_N) in err
 
+    @pytest.mark.parametrize("flag", ["--mu", "--sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_affine_refused(self, capsys, flag, value):
+        rc, out, err = run_cli(capsys, "sample", "--source", "lcg48",
+                               "--sampler", "polar", "--n", "3",
+                               f"{flag}={value}")
+        assert rc == 2
+        assert out == ""
+        assert f"{flag} must be finite" in err
+
     @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
                                    SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3])
     @pytest.mark.parametrize("source_id,sampler_id",

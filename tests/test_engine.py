@@ -552,3 +552,29 @@ def test_loop_guard_counts_across_rounds(monkeypatch, sampler_id):
     engine.fill_gaussians(make_sampler(sampler_id), _Tape(tape), buf)
     assert buf.tolist() == ref
     assert len(calls) >= 3
+
+
+@pytest.mark.parametrize("sampler_id", ["ziggurat", "modified-ziggurat"])
+def test_engine_tables_built_once_on_first_fill(monkeypatch, sampler_id):
+    seen = []
+    fast_path = engine._fast_path
+
+    def spy(sampler, w):
+        seen.append(sampler.engine_tables)
+        return fast_path(sampler, w)
+
+    monkeypatch.setattr(engine, "_fast_path", spy)
+    sampler, source = make_sampler(sampler_id), make_source("splitmix", 5)
+    sampler.next_gaussian(source)
+    assert "engine_tables" not in vars(sampler)  # per-call draws build none
+    _fill(sampler, source, 3000)
+    _fill(sampler, source, 3000)  # larger than READ_AHEAD: a second block
+    assert len(seen) == 2
+    assert seen[0] is seen[1] is vars(sampler)["engine_tables"]
+
+    ktab, wtab = seen[0]
+    t = sampler.tables
+    assert ktab.dtype == np.uint64 and wtab.dtype == np.float64
+    assert ktab.tolist() == list(t.ktab) * 2
+    expected = np.array(t.wtab + tuple(-w for w in t.wtab), dtype=np.float64)
+    assert np.array_equal(wtab.view(np.uint64), expected.view(np.uint64))

@@ -341,6 +341,16 @@ class TestAffine:
         with pytest.raises(ValueError):
             gaussian_affine(SplitMix64(0), PolarSampler(), 0.0, -1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, -math.inf])
+    def test_nan_and_negative_infinite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            gaussian_affine(SplitMix64(0), PolarSampler(), 0.0, sigma)
+
+    def test_infinite_sigma_scales_the_deviate(self):
+        raw = PolarSampler().next_gaussian(SplitMix64(4))
+        got = gaussian_affine(SplitMix64(4), PolarSampler(), 0.0, math.inf)
+        assert got == math.copysign(math.inf, raw)
+
 
 class TestPairingGate:
     def test_matrix(self):

@@ -29,16 +29,17 @@ vectors derived from them and the source state at its read position. The
 next fill starts on the unread words, with no numpy round to make them, if
 they are enough for the whole fill; otherwise it makes a new block from the
 source's state, so a fill never pays for two rounds where one would do.
-Fills shorter than ``PER_CALL_BELOW``, which run per call, read the words
-through ``_BlockReader``, so the read position keeps in step.
+Every fill on a supported source takes this path, however short; only
+sources the engine does not support run per call.
 
 Nothing ties the block to one source object. A fill uses it only when the
 source's type, gamma and state are those of an unread position, since the
 words are a pure function of these; otherwise it makes a new block. Per-call
 draws on the source between fills leave it a few words ahead, and
-``_Block.seek`` finds it there. A block made for one long fill is larger
-than ``READ_AHEAD`` and is dropped after it, so that no sampler holds more
-than ``READ_AHEAD`` words and their vectors between fills.
+``_Block.seek`` finds it there by stepping up to ``_SEEK`` words. A block
+made for one long fill is larger than ``READ_AHEAD`` and is dropped after
+it, so that no sampler holds more than ``READ_AHEAD`` words and their
+vectors between fills.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ BLOCK = 1 << 14
 #: fewest words in a block; a block this size outlives its fill, and the
 #: next fill on the same stream starts on its unread words
 READ_AHEAD = 1024
-#: shorter fills run per call, which is cheaper than one numpy round
-PER_CALL_BELOW = 24
 
 # LCG words come in rows of _ROW, each row jumped to from the block's start
 _ROW = 64
@@ -105,8 +104,8 @@ def _lcg_jump(k: int):
     return a_k & MASK48, LCG_INC * ((a_k - 1) // (LCG_MULT - 1)) & MASK48
 
 
-#: how many words past a block's read position an LCG source is looked for
-_LCG_SEEK = 16
+#: how many words past a block's read position a source is looked for
+_SEEK = 16
 _LCG_A2, _LCG_C2 = _lcg_jump(2)  # one word: two LCG steps
 
 
@@ -166,15 +165,6 @@ def _rewind(source: UniformSource, start: int, used: int) -> None:
         source.state = (a * start + c) & MASK48
 
 
-def _inverse(gamma: int) -> int:
-    """gamma^-1 mod 2^64 for an odd gamma, by Newton's iteration; an odd
-    number is its own inverse mod 8, and each step doubles the correct bits."""
-    x = gamma
-    for _ in range(5):
-        x = x * (2 - gamma * x) & MASK64
-    return x
-
-
 class _Block:
     """A round's words and the sampler's vectors over them.
 
@@ -186,14 +176,13 @@ class _Block:
     may be served from the block.
     """
 
-    __slots__ = ("kind", "gamma", "inverse", "state", "end_state", "words",
-                 "data", "width", "size", "pos")
+    __slots__ = ("kind", "gamma", "state", "end_state", "words", "data",
+                 "width", "size", "pos")
 
     def __init__(self, source: UniformSource, start: int, words: np.ndarray,
                  data: tuple, width: int):
         self.kind = type(source)
         self.gamma = getattr(source, "gamma", None)
-        self.inverse = None
         self.state = start
         self.end_state = source.state
         self.words = words
@@ -205,26 +194,20 @@ class _Block:
     def seek(self, source: UniformSource) -> bool:
         """Move `pos` to where the source sits; False if it is off the block.
 
-        Per-call draws between fills move the source a few words ahead.
-        SplitMix64 finds how far in O(1) from gamma's inverse; the LCG has no
-        cheap inverse and is looked for up to _LCG_SEEK words ahead.
+        Per-call draws between fills move the source a few words ahead, so
+        it is looked for up to _SEEK words ahead, one word step at a time.
         """
+        gamma = self.gamma
         if type(source) is not self.kind or (
-                self.gamma is not None and source.gamma != self.gamma):
+                gamma is not None and source.gamma != gamma):
             return False
-        words = 0
-        if source.state != self.state:
-            if self.gamma is not None:
-                if self.inverse is None:
-                    self.inverse = _inverse(self.gamma)
-                words = (source.state - self.state) * self.inverse & MASK64
-            else:
-                s = self.state
-                while s != source.state:
-                    if words == _LCG_SEEK:
-                        return False
-                    s = (_LCG_A2 * s + _LCG_C2) & MASK48
-                    words += 1
+        s, words = self.state, 0
+        while s != source.state:
+            if words == _SEEK:
+                return False
+            s = ((s + gamma) & MASK64 if gamma is not None
+                 else (_LCG_A2 * s + _LCG_C2) & MASK48)
+            words += 1
         steps, odd = divmod(words, self.width)
         if odd or self.pos + steps >= self.size:
             return False
@@ -234,7 +217,7 @@ class _Block:
 
 
 def _resume(sampler: GaussianSampler, source: UniformSource,
-            want: int = 0) -> _Block | None:
+            want: int) -> _Block | None:
     """The sampler's block if the source sits on it with at least `want`
     positions unread, and the source moved past the block's last word, as a
     new block leaves it.
@@ -474,16 +457,10 @@ def _fill_polar(sampler: PolarSampler, source: UniformSource,
 
 def _fill_per_call(sampler: GaussianSampler, source: UniformSource,
                    out: np.ndarray, counts: np.ndarray | None) -> None:
-    """Fill one deviate per call, reading the sampler's block first if the
-    source sits on it, so that the block's read position keeps in step."""
-    block = _resume(sampler, source)
-    reader = source if block is None else _BlockReader(
-        block.words, source, block.pos * block.width)
+    """Fill one deviate per call, for sources the engine does not support."""
     for j in range(out.shape[0]):
-        out[j] = (sampler.next_gaussian(reader) if counts is None
-                  else sampler._draw(reader, counts))
-    if block is not None:
-        _finish(sampler, source, block, reader.cursor // block.width)
+        out[j] = (sampler.next_gaussian(source) if counts is None
+                  else sampler._draw(source, counts))
 
 
 def fill_u64(source: UniformSource, out: np.ndarray) -> None:
@@ -502,8 +479,10 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
     """Fill a float64 array with deviates, advancing sampler and source state.
 
     Produces exactly the stream `sampler.next_gaussian(source)` would,
-    including the polar spare carried across calls. Falls back to the
-    per-call path for sources the engine does not support.
+    including the polar spare carried across calls. Every fill on a
+    supported source, however short, runs on a block: the sampler's
+    read-ahead block if the source sits on it, else a new one. Sources the
+    engine does not support run per call.
 
     For a ziggurat sampler, `counts` (int64, one cell per layer) gains the
     layer of every attempt made, as `sample_with_occupancy` counts them.
@@ -514,7 +493,7 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
         if counts.shape != (sampler.tables.n,):
             raise ValueError(f"counts needs shape ({sampler.tables.n},), "
                              f"got {counts.shape}")
-    if out.shape[0] < PER_CALL_BELOW or not supports(source):
+    if not supports(source):
         _fill_per_call(sampler, source, out, counts)
         return
     if isinstance(sampler, PolarSampler):

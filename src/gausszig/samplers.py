@@ -157,9 +157,6 @@ class PolarSampler(GaussianSampler):
     def __init__(self):
         self.spare: float | None = None
 
-    def reset(self) -> None:
-        self.spare = None
-
     def next_gaussian(self, src: UniformSource) -> float:
         spare = self.spare
         if spare is not None:
@@ -178,9 +175,11 @@ class PolarSampler(GaussianSampler):
 
 def gaussian_affine(src: UniformSource, sampler: GaussianSampler,
                     mu: float, sigma: float) -> float:
-    """Return one N(mu, sigma^2) deviate; sigma must be >= 0."""
-    if not sigma >= 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    """Return one N(mu, sigma^2) deviate; mu must be finite and sigma finite
+    and >= 0."""
+    if not (math.isfinite(mu) and math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"mu must be finite and sigma finite and >= 0, "
+                         f"got mu={mu}, sigma={sigma}")
     return mu + sigma * sampler.next_gaussian(src)
 
 

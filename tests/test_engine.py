@@ -84,11 +84,7 @@ def test_fills_ending_next_to_a_slow_deviate(source_id, sampler_id):
     # deviates that began with a rejected wedge
     marks = sorted({j + k % 2 for k, j in enumerate(slow)}
                    | {j + k % 2 for k, j in enumerate(rejected)})
-    cuts = [0]
-    for cut in marks:
-        if cut - cuts[-1] >= engine.PER_CALL_BELOW:  # shorter fills run per call
-            cuts.append(cut)
-    cuts.append(n)
+    cuts = sorted({0, n, *marks})
     assert len(cuts) > 100
     rejected = set(rejected)
     assert sum(c in rejected for c in cuts) > 20
@@ -184,7 +180,7 @@ def test_occupancy_counts_refused_for_polar():
 @pytest.mark.parametrize("cells,n", [(64, 1000), (4, 8), (300, 8)])
 def test_occupancy_counts_of_the_wrong_shape_refused(cells, n):
     # the sampler has 128 layers; the check comes before any word is drawn,
-    # on the engine path (n = 1000) and the per-call path (n = 8) alike
+    # for a long fill (n = 1000) and a short one (n = 8) alike
     source = make_source("splitmix", 1)
     out = np.full(n, 7.0)
     counts = np.zeros(cells, dtype=np.int64)
@@ -425,46 +421,107 @@ def test_source_set_back_gets_no_stale_words(source_id, sampler_id):
         ref_sampler.next_gaussian(ref_source) for _ in range(300)]
 
 
-def _deviates_ending_at(sampler_id, source_id, seed, words):
-    """How many deviates the per-call path makes in exactly `words` words,
-    a pending polar spare included, or None when a deviate straddles that
-    point."""
-    sampler = make_sampler(sampler_id)
+def _block_words(sampler_id, n):
+    """Words in the block a first fill of n deviates makes."""
+    if sampler_id == "polar":
+        return 2 * max(engine.READ_AHEAD // 2,
+                       engine._polar_attempts((n + 1) // 2))
+    return max(engine.READ_AHEAD, engine._ziggurat_words(n))
+
+
+def _fill_ending_at_block_end(sampler_id, source_id, seed, layers):
+    """A first fill size whose deviates, per call, read exactly the words of
+    the block the engine makes for it, with no polar spare left; or None."""
+    sampler = make_sampler(sampler_id, layers)
     source = CountingSource(make_source(source_id, seed))
     made = 0
-    while source.draws < words:
+    while source.draws < 2 * engine.READ_AHEAD:
         sampler.next_gaussian(source)
         made += 1
-    made += getattr(sampler, "spare", None) is not None
-    return made if source.draws == words else None
+        if (getattr(sampler, "spare", None) is None
+                and source.draws == _block_words(sampler_id, made)):
+            return made
+    return None
 
 
 @pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
 def test_fills_ending_exactly_at_the_block_end(monkeypatch, source_id,
                                                sampler_id):
-    # short fills read the block one word at a time, so one of them can stop
-    # on its last word; the block is spent then, and the next fill makes one
+    # a fill whose last deviate reads the block's last word spends the
+    # block: no block stays on the sampler, the source is left past it, and
+    # the next fill makes one. Eight layers send enough ziggurat attempts
+    # down the slow paths for this to happen in a READ_AHEAD block.
     calls = _count_words(monkeypatch)
-    size = engine.READ_AHEAD  # the block a 30-deviate fill makes
-    for seed in range(40):
-        made = _deviates_ending_at(sampler_id, source_id, seed, size)
+    layers = None if sampler_id == "polar" else 8
+    for seed in range(200):
+        made = _fill_ending_at_block_end(sampler_id, source_id, seed, layers)
         if made is not None:
             break
     else:
         pytest.fail("no seed gives a deviate boundary at the block end")
-    sampler, source = make_sampler(sampler_id), make_source(source_id, seed)
-    ref_sampler, ref_source = _reference(sampler_id, source)
-    got = _fill(sampler, source, 30)
-    while len(got) < made:
-        got += _fill(sampler, source, min(made - len(got),
-                                          engine.PER_CALL_BELOW - 1))
-        assert (sampler.read_ahead is None) == (len(got) == made)
-    assert len(calls) == 1
+    sampler = make_sampler(sampler_id, layers)
+    source = make_source(source_id, seed)
+    ref_sampler, ref_source = _reference(sampler_id, source, layers)
+    got = _fill(sampler, source, made)
+    assert calls == [_block_words(sampler_id, made)]
+    assert sampler.read_ahead is None
     got += _fill(sampler, source, 40)
     assert len(calls) == 2
     assert got == [ref_sampler.next_gaussian(ref_source)
                    for _ in range(made + 40)]
     assert source.state == ref_source.state
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+def test_short_fills_run_on_the_block(monkeypatch, source_id, sampler_id):
+    # fills of 1..23 deviates start on the block an earlier fill made and
+    # never fall back to the sampler's per-call draw
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler(sampler_id), make_source(source_id, 8)
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    zig = sampler_id != "polar"
+    counts = np.zeros(sampler.tables.n, dtype=np.int64) if zig else None
+    got = _fill(sampler, source, 30, counts)
+
+    def per_call(*args):
+        raise AssertionError("a short fill ran per call")
+
+    monkeypatch.setattr(sampler, "next_gaussian", per_call)
+    if zig:
+        monkeypatch.setattr(sampler, "_draw", per_call)
+    for size in range(1, 24):
+        got += _fill(sampler, source, size, counts)
+    assert len(calls) == 1
+    if zig:
+        ref, ref_counts = ref_sampler.sample_with_occupancy(ref_source, len(got))
+        assert counts.tolist() == ref_counts
+    else:
+        ref = [ref_sampler.next_gaussian(ref_source) for _ in range(len(got))]
+    assert got == ref
+    assert source.state == ref_source.state
+    assert getattr(sampler, "spare", None) == getattr(ref_sampler, "spare", None)
+
+
+@pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
+@pytest.mark.parametrize("beyond", [False, True])
+def test_source_found_up_to_seek_words_ahead(monkeypatch, source_id,
+                                            sampler_id, beyond):
+    # raw words drawn between fills move the source past the read position;
+    # at _SEEK words the next fill resumes the block, one word more (two for
+    # polar, whose attempts start on even words) makes a new block
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler(sampler_id), make_source(source_id, 19)
+    ref_sampler, ref_source = _reference(sampler_id, source)
+    skip = engine._SEEK + beyond * (2 if sampler_id == "polar" else 1)
+    got = _fill(sampler, source, 30)  # even, so that no polar spare is left
+    got += [source.next_u64() for _ in range(skip)]
+    got += _fill(sampler, source, 30)
+    ref = [ref_sampler.next_gaussian(ref_source) for _ in range(30)]
+    ref += [ref_source.next_u64() for _ in range(skip)]
+    ref += [ref_sampler.next_gaussian(ref_source) for _ in range(30)]
+    assert got == ref
+    assert source.state == ref_source.state
+    assert len(calls) == 1 + beyond
 
 
 @pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])

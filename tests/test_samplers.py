@@ -128,13 +128,6 @@ class TestPolar:
         pairs_drawn = counter.draws / 2
         assert abs(pairs_drawn / pairs - 4.0 / math.pi) < 0.01
 
-    def test_reset_clears_spare(self):
-        p = PolarSampler()
-        p.next_gaussian(SplitMix64(1))
-        assert p.spare is not None
-        p.reset()
-        assert p.spare is None
-
     def test_guard_trips_when_source_pins_s_to_zero(self, monkeypatch):
         monkeypatch.setattr(samplers_mod, "LOOP_GUARD", 8)
 
@@ -346,10 +339,16 @@ class TestAffine:
         with pytest.raises(ValueError):
             gaussian_affine(SplitMix64(0), PolarSampler(), 0.0, sigma)
 
-    def test_infinite_sigma_scales_the_deviate(self):
-        raw = PolarSampler().next_gaussian(SplitMix64(4))
-        got = gaussian_affine(SplitMix64(4), PolarSampler(), 0.0, math.inf)
-        assert got == math.copysign(math.inf, raw)
+    # with the test above, every non-finite mu and sigma is refused, as the
+    # CLI refuses them
+    @pytest.mark.parametrize("mu,sigma", [(0.0, math.inf), (math.nan, 1.0),
+                                          (math.inf, 1.0), (-math.inf, 1.0)])
+    def test_infinite_sigma_and_non_finite_mu_rejected(self, mu, sigma):
+        src, sampler = SplitMix64(4), PolarSampler()
+        with pytest.raises(ValueError):
+            gaussian_affine(src, sampler, mu, sigma)
+        # refused before any draw
+        assert src.state == SplitMix64(4).state and sampler.spare is None
 
 
 class TestPairingGate:

@@ -18,28 +18,32 @@ vector test too, and the log of each accepted pair comes from ``math.log``.
 No accept/reject decision and no output value comes from ``np.log`` or
 ``np.exp``, whose roundings differ from ``math``'s on some inputs.
 
-A fill that stops inside a block rewinds the source to its state just after
-the last word used. The deviates, the final source state and the polar spare
-are therefore exactly those of ``sampler.next_gaussian(source)`` called once
-per element; the test suite pins that.
+Making the words also gives the source's state after each of them: the
+SplitMix64 sum ``state + k*gamma`` before the mix, and the LCG state before
+``>> 16``. A block keeps these states, and a fill that stops inside it sets
+the source to the state after the last word used. The deviates, the final
+source state and the polar spare are therefore exactly those of
+``sampler.next_gaussian(source)`` called once per element; the test suite
+pins that.
 
 A block holds at least ``READ_AHEAD`` words, and a block of that size
 outlives its fill: the sampler keeps it (``read_ahead``) with its words, the
-vectors derived from them and the source state at its read position. The
-next fill starts on the unread words, with no numpy round to make them, if
-they are enough for the whole fill; otherwise it makes a new block from the
-source's state, so a fill never pays for two rounds where one would do.
-Every fill on a supported source takes this path, however short; only
-sources the engine does not support run per call.
+vectors derived from them and the states. The next fill starts on the
+unread words, with no numpy round to make them, if they are enough for the
+whole fill; otherwise it makes a new block from the source's state, so a
+fill never pays for two rounds where one would do. Every fill on a
+supported source takes this path, however short; only sources the engine
+does not support run per call.
 
 Nothing ties the block to one source object. A fill uses it only when the
 source's type, gamma and state are those of an unread position, since the
-words are a pure function of these; otherwise it makes a new block. Per-call
-draws on the source between fills leave it a few words ahead, and
-``_Block.seek`` finds it there by stepping up to ``_SEEK`` words. A block
-made for one long fill is larger than ``READ_AHEAD`` and is dropped after
-it, so that no sampler holds more than ``READ_AHEAD`` words and their
-vectors between fills.
+words are a pure function of these; otherwise it makes a new block.
+``_Block.seek`` looks for the source's state first at the read position,
+then, if per-call draws moved it ahead, among the states that end an unread
+attempt. A block made for one long fill is larger than ``READ_AHEAD`` and is
+dropped after it, so that no sampler holds more than ``READ_AHEAD`` words and
+their vectors between fills. Only ``_words`` and ``supports`` tell the two
+sources apart.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .sources import (
     LCG_INC,
     LCG_MULT,
     MASK48,
-    MASK64,
     Lcg48,
     SplitMix64,
     UniformSource,
@@ -104,11 +107,6 @@ def _lcg_jump(k: int):
     return a_k & MASK48, LCG_INC * ((a_k - 1) // (LCG_MULT - 1)) & MASK48
 
 
-#: how many words past a block's read position a source is looked for
-_SEEK = 16
-_LCG_A2, _LCG_C2 = _lcg_jump(2)  # one word: two LCG steps
-
-
 @lru_cache(maxsize=None)
 def _lcg_tables():
     """Jump-ahead coefficients that make LCG words _ROW to a row.
@@ -124,67 +122,57 @@ def _lcg_tables():
             *arrays(range(0, 2 * BLOCK, 2 * _ROW)))
 
 
-def _words(source: UniformSource, k: int) -> np.ndarray:
-    """The next k <= BLOCK words of a supported source; the source moves past them."""
+def _words(source: UniformSource, k: int):
+    """(words, states): the next k <= BLOCK words of a supported source, and
+    its state after each; the source moves past them."""
     if isinstance(source, SplitMix64):
-        z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= np.uint64(source.gamma)
-        z += np.uint64(source.state)
-        source.state = (source.state + k * source.gamma) & MASK64
-        z ^= z >> np.uint64(30)
+        states = np.arange(1, k + 1, dtype=np.uint64)
+        states *= np.uint64(source.gamma)
+        states += np.uint64(source.state)
+        z = states >> np.uint64(30)
+        z ^= states
         z *= _MIX_A
         z ^= z >> np.uint64(27)
         z *= _MIX_B
         z ^= z >> np.uint64(31)
-        return z
-    a_hi, c_hi, a_lo, c_lo, a_row, c_row = _lcg_tables()
-    rows = -(-k // _ROW)
-    start = a_row[:rows] * np.uint64(source.state)
-    start += c_row[:rows]
-    start &= _M48
-    start = start[:, None]
-    hi = a_hi * start
-    hi += c_hi
-    hi >>= np.uint64(16)
-    hi <<= np.uint64(32)  # state bits 16..47 to word bits 32..63; the rest fall off
-    lo = a_lo * start
-    lo += c_lo
-    lo &= _M48
-    source.state = lo.item(k - 1)
-    lo >>= np.uint64(16)
-    hi |= lo
-    return hi.reshape(-1)[:k]
-
-
-def _rewind(source: UniformSource, start: int, used: int) -> None:
-    """Set the source to its state `used` words after state `start`."""
-    if isinstance(source, SplitMix64):
-        source.state = (start + used * source.gamma) & MASK64
     else:
-        a, c = _lcg_jump(2 * used)
-        source.state = (a * start + c) & MASK48
+        a_hi, c_hi, a_lo, c_lo, a_row, c_row = _lcg_tables()
+        rows = -(-k // _ROW)
+        start = a_row[:rows] * np.uint64(source.state)
+        start += c_row[:rows]
+        start &= _M48
+        start = start[:, None]
+        lo = a_lo * start
+        lo += c_lo
+        lo &= _M48
+        states = lo.reshape(-1)[:k]
+        z = a_hi * start
+        z += c_hi
+        z >>= np.uint64(16)
+        z <<= np.uint64(32)  # state bits 16..47 to word bits 32..63; the rest fall off
+        z |= lo >> np.uint64(16)
+        z = z.reshape(-1)[:k]
+    source.state = states.item(k - 1)
+    return z, states
 
 
 class _Block:
-    """A round's words and the sampler's vectors over them.
+    """A round's words, the source's state after each, and the sampler's
+    vectors over them.
 
     Position j stands for `width` words (one ziggurat attempt, one polar
-    pair) and for entry j of the per-position arrays in `data`. `pos` is the
-    read position, `state` the source's state there and `end_state` its
-    state after the last word. Words are a pure function of the source's
-    type, gamma and state, so any source in the state of an unread position
-    may be served from the block.
+    pair) and for entry j of the per-position arrays in `data`; `pos` is the
+    read position. Words are a pure function of the source's type, gamma and
+    state, so any source in the state of an unread position may be served
+    from the block: the state after word j is `states[j]`.
     """
 
-    __slots__ = ("kind", "gamma", "state", "end_state", "words", "data",
-                 "width", "size", "pos")
+    __slots__ = ("kind", "states", "words", "data", "width", "size", "pos")
 
-    def __init__(self, source: UniformSource, start: int, words: np.ndarray,
-                 data: tuple, width: int):
-        self.kind = type(source)
-        self.gamma = getattr(source, "gamma", None)
-        self.state = start
-        self.end_state = source.state
+    def __init__(self, source: UniformSource, words: np.ndarray,
+                 states: np.ndarray, data: tuple, width: int):
+        self.kind = type(source), getattr(source, "gamma", None)
+        self.states = states
         self.words = words
         self.data = data
         self.width = width
@@ -194,25 +182,22 @@ class _Block:
     def seek(self, source: UniformSource) -> bool:
         """Move `pos` to where the source sits; False if it is off the block.
 
-        Per-call draws between fills move the source a few words ahead, so
-        it is looked for up to _SEEK words ahead, one word step at a time.
+        A block on a sampler has pos >= 1, so the source's state at pos is
+        states[pos*width - 1]. Per-call draws between fills move the source
+        ahead; it is then looked for among the states that end an unread
+        attempt. A source at the block's end sits at pos = size, with
+        nothing left to read.
         """
-        gamma = self.gamma
-        if type(source) is not self.kind or (
-                gamma is not None and source.gamma != gamma):
+        if (type(source), getattr(source, "gamma", None)) != self.kind:
             return False
-        s, words = self.state, 0
-        while s != source.state:
-            if words == _SEEK:
-                return False
-            s = ((s + gamma) & MASK64 if gamma is not None
-                 else (_LCG_A2 * s + _LCG_C2) & MASK48)
-            words += 1
-        steps, odd = divmod(words, self.width)
-        if odd or self.pos + steps >= self.size:
+        width, state = self.width, source.state
+        at = self.pos * width - 1
+        if self.states.item(at) == state:
+            return True
+        hit = np.flatnonzero(self.states[at + width::width] == state)
+        if not hit.size:
             return False
-        self.pos += steps
-        self.state = source.state
+        self.pos += 1 + int(hit[0])
         return True
 
 
@@ -229,7 +214,7 @@ def _resume(sampler: GaussianSampler, source: UniformSource,
     block = sampler.read_ahead
     if block is None or not block.seek(source) or block.size - block.pos < want:
         return None
-    source.state = block.end_state
+    source.state = block.states.item(-1)
     return block
 
 
@@ -240,9 +225,9 @@ def _finish(sampler: GaussianSampler, source: UniformSource, block: _Block,
     larger one, made for one long fill, is dropped."""
     sampler.read_ahead = None
     if end < block.size:
-        _rewind(source, block.state, (end - block.pos) * block.width)
+        source.state = block.states.item(end * block.width - 1)
         if block.size * block.width <= READ_AHEAD:
-            block.pos, block.state = end, source.state
+            block.pos = end
             sampler.read_ahead = block
 
 
@@ -278,8 +263,8 @@ def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
     m = (w >> sampler.m_shift if sampler.m_shift else w) & sampler.m_mask
     idx = idx.view(np.intp)
     fast = m < ktab.take(idx)
-    x = m.astype(np.float64)
-    x *= wtab.take(idx)
+    x = wtab.take(idx)
+    x *= m  # m converts to float64 as astype would; no m-sized temporary
     return x, idx, fast
 
 
@@ -296,11 +281,11 @@ def _ziggurat_block(sampler: ZigguratSampler, source: UniformSource,
     the slow positions, four lists: position, sign*n + layer, value and the
     word after it.
     """
-    start = source.state
-    words = _words(source, min(BLOCK, max(READ_AHEAD, _ziggurat_words(need))))
+    words, states = _words(
+        source, min(BLOCK, max(READ_AHEAD, _ziggurat_words(need))))
     values, idx, fast = _fast_path(sampler, words)
     slow = np.flatnonzero(~fast)
-    return _Block(source, start, words, (
+    return _Block(source, words, states, (
         values, idx, fast, slow.tolist(), idx[slow].tolist(),
         values[slow].tolist(), words.take(slow + 1, mode="clip").tolist()), 1)
 
@@ -396,15 +381,14 @@ def _polar_block(source: UniformSource, pairs: int) -> _Block:
     data: v1, v2 and s of each attempt, and the accepted attempts.
     """
     attempts = min(BLOCK // 2, max(READ_AHEAD // 2, _polar_attempts(pairs)))
-    start = source.state
-    words = _words(source, 2 * attempts)
+    words, states = _words(source, 2 * attempts)
     v = (words >> np.uint64(11)).astype(np.float64)
     v *= 2.0 * _UNIT_SCALE  # a power of two, so as exact as two steps
     v -= 1.0
     v1, v2 = v[0::2], v[1::2]
     s = v1 * v1
     s += v2 * v2
-    return _Block(source, start, words,
+    return _Block(source, words, states,
                   (v1, v2, s, np.flatnonzero((s > 0.0) & (s < 1.0))), 2)
 
 
@@ -471,7 +455,7 @@ def fill_u64(source: UniformSource, out: np.ndarray) -> None:
         return
     for lo in range(0, out.shape[0], BLOCK):
         hi = min(out.shape[0], lo + BLOCK)
-        out[lo:hi] = _words(source, hi - lo)
+        out[lo:hi] = _words(source, hi - lo)[0]
 
 
 def fill_gaussians(sampler: GaussianSampler, source: UniformSource,

@@ -23,13 +23,11 @@ the exact maximum is never dropped, and its index is never outside the
 guard band of the screened maximum, so taking the statistic from the scalar
 `normal_cdf` at every index in that band makes it equal a per-element
 evaluation bit for bit. `chi_square_gof` counts each bin as the difference
-of two positions of its edges in the sorted sample; the equal-probability
-edges are computed once per process and bin count.
+of two positions of its edges in the sorted sample.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -446,10 +444,4 @@ def equal_probability_edges(bins: int) -> list:
     """Interior normal-quantile edges splitting the line into equal-mass bins."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    return list(_equal_probability_edges(bins))
-
-
-@functools.lru_cache(maxsize=8)
-def _equal_probability_edges(bins: int) -> tuple:
-    # a tuple, so the one cached copy per bin count cannot be changed
-    return tuple(normal_quantile(j / bins) for j in range(1, bins))
+    return [normal_quantile(j / bins) for j in range(1, bins)]

@@ -117,7 +117,8 @@ def test_round_ending_in_a_wedge_reads_its_uniform_from_the_source(
     (x,), attempts = sampler_p.sample_with_occupancy(source_p, 1)
     ref.append(x)
     t = sampler_p.tables
-    word = engine._words(make_source("splitmix", seed), engine.BLOCK)[-1:]
+    words, _ = engine._words(make_source("splitmix", seed), engine.BLOCK)
+    word = words[-1:]
     _, idx, fast = engine._fast_path(sampler_p, word)
     assert not fast[0] and idx[0] & (t.n - 1) != 0  # a wedge, not a tail
     assert source_p.draws - before >= 2
@@ -192,18 +193,25 @@ def test_occupancy_counts_of_the_wrong_shape_refused(cells, n):
 
 
 class _Tape(SplitMix64):
-    """A source the engine makes blocks for, whose words come from a tape."""
+    """A source the engine makes blocks for, whose words come from a tape;
+    its state counts the words read."""
 
     def __init__(self, words):
         super().__init__(0)
         self.tape = iter(words)
 
     def next_u64(self):
+        self.state += 1
         return next(self.tape)
 
 
 def _tape_words(source, k):
-    return np.array([source.next_u64() for _ in range(k)], dtype=np.uint64)
+    """_words for a _Tape: its next k words and its state after each."""
+    words, states = [], []
+    for _ in range(k):
+        words.append(source.next_u64())
+        states.append(source.state)
+    return np.array(words, dtype=np.uint64), np.array(states, dtype=np.uint64)
 
 
 def _stuck_tape(sampler_id, misses):
@@ -334,6 +342,47 @@ def _count_words(monkeypatch):
 
     monkeypatch.setattr(engine, "_words", counted)
     return calls
+
+
+@pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])
+@pytest.mark.parametrize("k", [1, 63, 65, engine.READ_AHEAD, engine.BLOCK])
+def test_words_record_the_source_state_after_each_word(source_id, k):
+    source = make_source(source_id, 1234)
+    ref = make_source(source_id, 1234)
+    words, states = engine._words(source, k)
+    ref_words, ref_states = [], []
+    for _ in range(k):
+        ref_words.append(ref.next_u64())
+        ref_states.append(ref.state)
+    assert words.tolist() == ref_words
+    assert states.tolist() == ref_states
+    assert source.state == ref.state == states.item(-1)
+
+
+@pytest.mark.parametrize("sampler_id,layers", [("polar", None),
+                                               ("ziggurat", None),
+                                               ("modified-ziggurat", 8)])
+def test_lcg_fills_stopping_inside_a_block_take_no_jump(monkeypatch,
+                                                       sampler_id, layers):
+    # once the row tables exist, the source is set from the states the block
+    # recorded, never by jumping the LCG ahead from the block's start
+    engine._lcg_tables()
+
+    def jump(k):
+        raise AssertionError("the LCG was jumped ahead")
+
+    monkeypatch.setattr(engine, "_lcg_jump", jump)
+    sampler, source = make_sampler(sampler_id, layers), make_source("lcg48", 6)
+    ref_sampler, ref_source = _reference(sampler_id, source, layers)
+    got, ref = [], []
+    for size in (1, 7, 30, 5, 999, 3, 3000, 24, 2, 77):
+        got += _fill(sampler, source, size)
+        ref += [ref_sampler.next_gaussian(ref_source) for _ in range(size)]
+        got.append(source.next_u64())
+        ref.append(ref_source.next_u64())
+    assert got == ref
+    assert source.state == ref_source.state
+    assert getattr(sampler, "spare", None) == getattr(ref_sampler, "spare", None)
 
 
 def _fill(sampler, source, n, counts=None):
@@ -503,25 +552,29 @@ def test_short_fills_run_on_the_block(monkeypatch, source_id, sampler_id):
 
 
 @pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
-@pytest.mark.parametrize("beyond", [False, True])
-def test_source_found_up_to_seek_words_ahead(monkeypatch, source_id,
-                                            sampler_id, beyond):
+@pytest.mark.parametrize("skip", [0, 1, 16, 17, 100, 400, "end", "past"])
+def test_resumed_at_any_unread_attempt_boundary(monkeypatch, source_id,
+                                               sampler_id, skip):
     # raw words drawn between fills move the source past the read position;
-    # at _SEEK words the next fill resumes the block, one word more (two for
-    # polar, whose attempts start on even words) makes a new block
+    # the next fill resumes the block wherever an unread attempt starts (any
+    # word for the ziggurats, an even one for polar). A source at the
+    # block's end ("end") or past it ("past") gets a new block.
     calls = _count_words(monkeypatch)
     sampler, source = make_sampler(sampler_id), make_source(source_id, 19)
     ref_sampler, ref_source = _reference(sampler_id, source)
-    skip = engine._SEEK + beyond * (2 if sampler_id == "polar" else 1)
+    counted = CountingSource(ref_source)
+    ref = [ref_sampler.next_gaussian(counted) for _ in range(30)]
+    left = _block_words(sampler_id, 30) - counted.draws
+    skip = {"end": left, "past": left + 2}.get(skip, skip)
+    ref += [ref_source.next_u64() for _ in range(skip)]
+    ref += [ref_sampler.next_gaussian(ref_source) for _ in range(30)]
     got = _fill(sampler, source, 30)  # even, so that no polar spare is left
     got += [source.next_u64() for _ in range(skip)]
     got += _fill(sampler, source, 30)
-    ref = [ref_sampler.next_gaussian(ref_source) for _ in range(30)]
-    ref += [ref_source.next_u64() for _ in range(skip)]
-    ref += [ref_sampler.next_gaussian(ref_source) for _ in range(30)]
     assert got == ref
     assert source.state == ref_source.state
-    assert len(calls) == 1 + beyond
+    resumed = skip < left and (sampler_id != "polar" or skip % 2 == 0)
+    assert len(calls) == 2 - resumed
 
 
 @pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])

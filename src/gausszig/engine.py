@@ -14,7 +14,8 @@ against ``math.exp(-0.5*x*x)``; only tails call into :mod:`gausszig.samplers`
 (``tail_sample``), reading the block's following words and then the source.
 The same walk counts the layer of every attempt when occupancy is asked for.
 Polar attempts always start on an even word, so the pair acceptance is one
-vector test too, and the log of each accepted pair comes from ``math.log``.
+vector test too. The deviates of every accepted pair are made with the
+block, the log from ``math.log``, and a polar fill copies a slice of them.
 No accept/reject decision and no output value comes from ``np.log`` or
 ``np.exp``, whose roundings differ from ``math``'s on some inputs.
 
@@ -27,23 +28,22 @@ source state and the polar spare are therefore exactly those of
 pins that.
 
 A block holds at least ``READ_AHEAD`` words, and a block of that size
-outlives its fill: the sampler keeps it (``read_ahead``) with its words, the
-vectors derived from them and the states. The next fill starts on the
-unread words, with no numpy round to make them, if they are enough for the
-whole fill; otherwise it makes a new block from the source's state, so a
-fill never pays for two rounds where one would do. Every fill on a
-supported source takes this path, however short; only sources the engine
-does not support run per call.
+outlives its fill: the sampler keeps it (``read_ahead``) with the states and
+what was derived from the words. The next fill starts on the unread words,
+with no numpy round to make them. A fill that wants more than they hold
+takes the rest, then makes a new block from where the source stands, so no
+word is made twice. Every fill on a supported source takes this path,
+however short; only sources the engine does not support run per call.
 
 Nothing ties the block to one source object. A fill uses it only when the
 source's type, gamma and state are those of an unread position, since the
 words are a pure function of these; otherwise it makes a new block.
 ``_Block.seek`` looks for the source's state first at the read position,
 then, if per-call draws moved it ahead, among the states that end an unread
-attempt. A block made for one long fill is larger than ``READ_AHEAD`` and is
-dropped after it, so that no sampler holds more than ``READ_AHEAD`` words and
-their vectors between fills. Only ``_words`` and ``supports`` tell the two
-sources apart.
+attempt. A block made for one long fill is larger than ``READ_AHEAD`` and
+is dropped after it, so that no sampler holds more than one block of
+``READ_AHEAD`` words between fills. Only ``_words`` and ``supports`` tell
+the two sources apart.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .sources import (
 BLOCK = 1 << 14
 #: fewest words in a block; a block this size outlives its fill, and the
 #: next fill on the same stream starts on its unread words
-READ_AHEAD = 1024
+READ_AHEAD = 2048
 
 # LCG words come in rows of _ROW, each row jumped to from the block's start
 _ROW = 64
@@ -97,29 +97,30 @@ def supports(source: UniformSource) -> bool:
     return isinstance(source, (Lcg48, SplitMix64))
 
 
-def _lcg_jump(k: int):
-    """(A, C) such that the LCG state k steps after s is (A*s + C) mod 2^48.
-
-    C = c * (a^k - 1)/(a - 1); a - 1 is even, so the power is taken mod
-    (a - 1) * 2^48, where the division is exact.
-    """
-    a_k = pow(LCG_MULT, k, (LCG_MULT - 1) << 48)
-    return a_k & MASK48, LCG_INC * ((a_k - 1) // (LCG_MULT - 1)) & MASK48
-
-
 @lru_cache(maxsize=None)
 def _lcg_tables():
     """Jump-ahead coefficients that make LCG words _ROW to a row.
 
     Word j of a row takes its high half from step 2j+1 after the row's start
-    and its low half from step 2j+2; rows start every 2*_ROW steps.
+    and its low half from step 2j+2; rows start every 2*_ROW steps. The state
+    k steps after s is (A*s + C) mod 2^48: (A, C) for each step of a row come
+    from single steps, and the row starts from repeating the row's jump.
     """
-    def arrays(steps):
-        a, c = zip(*map(_lcg_jump, steps))
+    steps = [(1, 0)]
+    for _ in range(2 * _ROW):
+        a, c = steps[-1]
+        steps.append((LCG_MULT * a & MASK48, (LCG_MULT * c + LCG_INC) & MASK48))
+    a_row, c_row = steps[-1]
+    rows = [(1, 0)]
+    for _ in range(BLOCK // _ROW - 1):
+        a, c = rows[-1]
+        rows.append((a_row * a & MASK48, (a_row * c + c_row) & MASK48))
+
+    def arrays(jumps):
+        a, c = zip(*jumps)
         return np.array(a, dtype=np.uint64), np.array(c, dtype=np.uint64)
 
-    return (*arrays(range(1, 2 * _ROW, 2)), *arrays(range(2, 2 * _ROW + 1, 2)),
-            *arrays(range(0, 2 * BLOCK, 2 * _ROW)))
+    return (*arrays(steps[1::2]), *arrays(steps[2::2]), *arrays(rows))
 
 
 def _words(source: UniformSource, k: int):
@@ -157,26 +158,25 @@ def _words(source: UniformSource, k: int):
 
 
 class _Block:
-    """A round's words, the source's state after each, and the sampler's
-    vectors over them.
+    """The source's state after each word of a round, and what the sampler
+    derived from the words (`data`).
 
-    Position j stands for `width` words (one ziggurat attempt, one polar
-    pair) and for entry j of the per-position arrays in `data`; `pos` is the
-    read position. Words are a pure function of the source's type, gamma and
-    state, so any source in the state of an unread position may be served
-    from the block: the state after word j is `states[j]`.
+    Position j stands for `width` words: one ziggurat attempt, one polar
+    pair. `pos` is the read position. Words are a pure function of the
+    source's type, gamma and state, so any source in the state of an unread
+    position may be served from the block: the state after word j is
+    `states[j]`.
     """
 
-    __slots__ = ("kind", "states", "words", "data", "width", "size", "pos")
+    __slots__ = ("kind", "states", "data", "width", "size", "pos")
 
-    def __init__(self, source: UniformSource, words: np.ndarray,
-                 states: np.ndarray, data: tuple, width: int):
+    def __init__(self, source: UniformSource, states: np.ndarray, data: tuple,
+                 width: int):
         self.kind = type(source), getattr(source, "gamma", None)
         self.states = states
-        self.words = words
         self.data = data
         self.width = width
-        self.size = words.shape[0] // width
+        self.size = states.shape[0] // width
         self.pos = 0
 
     def seek(self, source: UniformSource) -> bool:
@@ -201,18 +201,17 @@ class _Block:
         return True
 
 
-def _resume(sampler: GaussianSampler, source: UniformSource,
-            want: int) -> _Block | None:
-    """The sampler's block if the source sits on it with at least `want`
-    positions unread, and the source moved past the block's last word, as a
-    new block leaves it.
+def _resume(sampler: GaussianSampler, source: UniformSource) -> _Block | None:
+    """The sampler's block if the source sits on it with positions unread,
+    and the source moved past the block's last word, as a new block leaves
+    it.
 
-    A fill that wants more than the block has makes a new block from the
-    source's state instead of taking the rest of this one first, which would
-    cost it a second round.
+    A fill that wants more than the block has left takes the rest, and its
+    next round makes a new block from where the source then stands, so no
+    word is made twice.
     """
     block = sampler.read_ahead
-    if block is None or not block.seek(source) or block.size - block.pos < want:
+    if block is None or not block.seek(source) or block.pos == block.size:
         return None
     source.state = block.states.item(-1)
     return block
@@ -277,16 +276,16 @@ def _ziggurat_block(sampler: ZigguratSampler, source: UniformSource,
                     need: int) -> _Block:
     """A new block for `need` more deviates.
 
-    data: each word's fast-path value, sign*n + layer and fast mask, and for
-    the slow positions, four lists: position, sign*n + layer, value and the
-    word after it.
+    data: the words; each word's fast-path value, sign*n + layer and fast
+    mask; and for the slow positions, four lists: position, sign*n + layer,
+    value and the word after it.
     """
     words, states = _words(
         source, min(BLOCK, max(READ_AHEAD, _ziggurat_words(need))))
     values, idx, fast = _fast_path(sampler, words)
     slow = np.flatnonzero(~fast)
-    return _Block(source, words, states, (
-        values, idx, fast, slow.tolist(), idx[slow].tolist(),
+    return _Block(source, states, (
+        words, values, idx, fast, slow.tolist(), idx[slow].tolist(),
         values[slow].tolist(), words.take(slow + 1, mode="clip").tolist()), 1)
 
 
@@ -301,11 +300,9 @@ def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
     misses = 0  # rejected attempts since the last deviate, across rounds
     while filled < n:
         need = n - filled
-        block = (_resume(sampler, source, _ziggurat_words(need))
-                 or _ziggurat_block(sampler, source, need))
+        block = _resume(sampler, source) or _ziggurat_block(sampler, source, need)
         # keep starts as the fast mask and ends as the mask of deviates
-        words = block.words
-        values, idx, keep, slow, layers, xs, nexts = block.data
+        words, values, idx, keep, slow, layers, xs, nexts = block.data
         k = block.size
         # pos: first word no attempt has read yet; lost: words before pos
         # that gave no deviate, the ones before the read position included
@@ -378,7 +375,9 @@ def _polar_attempts(pairs: int) -> int:
 def _polar_block(source: UniformSource, pairs: int) -> _Block:
     """A new block for `pairs` more accepted pairs.
 
-    data: v1, v2 and s of each attempt, and the accepted attempts.
+    data: the deviates of the accepted attempts, v1*mul and v2*mul of each
+    in turn, and the accepted attempts. mul takes one ``math.log`` per
+    accepted attempt, with the per-call order of operations.
     """
     attempts = min(BLOCK // 2, max(READ_AHEAD // 2, _polar_attempts(pairs)))
     words, states = _words(source, 2 * attempts)
@@ -388,8 +387,16 @@ def _polar_block(source: UniformSource, pairs: int) -> _Block:
     v1, v2 = v[0::2], v[1::2]
     s = v1 * v1
     s += v2 * v2
-    return _Block(source, words, states,
-                  (v1, v2, s, np.flatnonzero((s > 0.0) & (s < 1.0))), 2)
+    accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
+    s = s[accepted]
+    mul = np.fromiter(map(math.log, s.tolist()), np.float64, accepted.size)
+    mul *= -2.0
+    mul /= s
+    np.sqrt(mul, out=mul)
+    dev = np.empty(2 * accepted.size)
+    np.multiply(v1[accepted], mul, out=dev[0::2])
+    np.multiply(v2[accepted], mul, out=dev[1::2])
+    return _Block(source, states, (dev, accepted), 2)
 
 
 def _fill_polar(sampler: PolarSampler, source: UniformSource,
@@ -402,38 +409,26 @@ def _fill_polar(sampler: PolarSampler, source: UniformSource,
         filled = 1
     misses = 0  # rejected attempts since the last accepted one
     while filled < n:
-        pairs = (n - filled + 1) // 2
-        block = (_resume(sampler, source, _polar_attempts(pairs))
-                 or _polar_block(source, pairs))
-        v1, v2, s, accepted = block.data
+        block = (_resume(sampler, source)
+                 or _polar_block(source, (n - filled + 1) // 2))
+        dev, accepted = block.data
         first = block.pos
-        if first:
-            accepted = accepted[accepted.searchsorted(first):]
-        ahead = int(accepted[0]) - first if accepted.size else block.size - first
+        at = int(accepted.searchsorted(first))
+        ahead = (int(accepted[at]) if at < accepted.size else block.size) - first
         if misses + ahead >= LOOP_GUARD:
             raise RejectionLoopExceeded("polar method exceeded its iteration guard")
-        take = accepted[:pairs]
-        s = s[take]
-        mul = np.fromiter(map(math.log, s.tolist()), np.float64, take.size)
-        mul *= -2.0
-        mul /= s
-        np.sqrt(mul, out=mul)
-        # whole pairs go straight into out; an odd last deviate leaves a spare
-        whole = min(take.size, (n - filled) // 2)
-        dev = out[filled:filled + 2 * whole]
-        np.multiply(v1[take[:whole]], mul[:whole], out=dev[0::2])
-        np.multiply(v2[take[:whole]], mul[:whole], out=dev[1::2])
-        filled += 2 * whole
-        if whole < take.size:
-            m, at = mul.item(whole), take.item(whole)
-            out[filled] = v1.item(at) * m
-            sampler.spare = v2.item(at) * m
-            filled += 1
-        if take.size == pairs:
-            _finish(sampler, source, block, int(take[-1]) + 1)
-            continue
+        # deviate 2*at is the first of the first unread accepted attempt; an
+        # odd count leaves the second of its last attempt as the spare
+        got = min(n - filled, dev.shape[0] - 2 * at)
+        out[filled:filled + got] = dev[2 * at:2 * at + got]
+        filled += got
+        if filled == n:
+            if got & 1:
+                sampler.spare = dev.item(2 * at + got)
+            _finish(sampler, source, block, int(accepted[at + (got - 1) // 2]) + 1)
+            break
         sampler.read_ahead = None
-        if accepted.size:
+        if at < accepted.size:
             misses = block.size - 1 - int(accepted[-1])
         else:
             misses += block.size - first

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from gausszig import (
 )
 from gausszig import engine
 from gausszig import samplers as samplers_mod
+from gausszig.sources import LCG_INC, LCG_MULT, MASK48
 
 from conftest import CountingSource
 
@@ -359,19 +361,33 @@ def test_words_record_the_source_state_after_each_word(source_id, k):
     assert source.state == ref.state == states.item(-1)
 
 
+def test_lcg_tables_match_jumps_by_pow():
+    # (A, C) with state k steps after s = (A*s + C) mod 2^48, from a^k taken
+    # mod (a - 1) * 2^48, where the division in C = c * (a^k - 1)/(a - 1)
+    # is exact
+    a, c = LCG_MULT, LCG_INC
+
+    def jump(k):
+        a_k = pow(a, k, (a - 1) << 48)
+        return a_k & MASK48, c * ((a_k - 1) // (a - 1)) & MASK48
+
+    def pair(steps):
+        return [list(col) for col in zip(*map(jump, steps))]
+
+    row = engine._ROW
+    expected = (pair(range(1, 2 * row, 2)) + pair(range(2, 2 * row + 1, 2))
+                + pair(range(0, 2 * engine.BLOCK, 2 * row)))
+    tables = engine._lcg_tables()
+    assert all(t.dtype == np.uint64 for t in tables)
+    assert [t.tolist() for t in tables] == expected
+
+
 @pytest.mark.parametrize("sampler_id,layers", [("polar", None),
                                                ("ziggurat", None),
                                                ("modified-ziggurat", 8)])
-def test_lcg_fills_stopping_inside_a_block_take_no_jump(monkeypatch,
-                                                       sampler_id, layers):
-    # once the row tables exist, the source is set from the states the block
-    # recorded, never by jumping the LCG ahead from the block's start
-    engine._lcg_tables()
-
-    def jump(k):
-        raise AssertionError("the LCG was jumped ahead")
-
-    monkeypatch.setattr(engine, "_lcg_jump", jump)
+def test_lcg_fills_stopping_inside_a_block_take_no_jump(sampler_id, layers):
+    # the source is set from the states the block recorded, never by
+    # jumping the LCG ahead from the block's start
     sampler, source = make_sampler(sampler_id, layers), make_source("lcg48", 6)
     ref_sampler, ref_source = _reference(sampler_id, source, layers)
     got, ref = [], []
@@ -430,17 +446,50 @@ def test_one_sampler_switched_between_two_sources(sampler_id, same_gamma):
 @pytest.mark.parametrize("source_id,sampler_id", PAIRINGS)
 def test_fill_larger_than_the_block_left_makes_one_block(monkeypatch,
                                                          source_id, sampler_id):
-    # the unread words are made again as the start of the new block, so the
-    # long fill takes one round, not one on the old block and one on the new
-    calls = _count_words(monkeypatch)
+    # the long fill takes the rest of the block the first fill made, then
+    # makes one block from where that one ends: no word is made twice
+    rounds = []  # the source's state before and after each block's words
+    make = engine._words
+
+    def recorded(source, k):
+        start = source.state
+        words, states = make(source, k)
+        rounds.append((start, states.item(-1)))
+        return words, states
+
+    monkeypatch.setattr(engine, "_words", recorded)
     sampler, source = make_sampler(sampler_id), make_source(source_id, 21)
     ref_sampler, ref_source = _reference(sampler_id, source)
-    got = _fill(sampler, source, 300) + _fill(sampler, source, 3000)
-    assert len(calls) == 2
-    assert calls[1] > 3000
-    assert sampler.read_ahead is None  # larger than READ_AHEAD: dropped
+    got = _fill(sampler, source, 300)
+    assert len(rounds) == 1
+    got += _fill(sampler, source, 3000)
+    assert len(rounds) == 2
+    assert rounds[1][0] == rounds[0][1]
     assert got == [ref_sampler.next_gaussian(ref_source) for _ in range(3300)]
     assert source.state == ref_source.state
+    assert getattr(sampler, "spare", None) == getattr(ref_sampler, "spare", None)
+
+
+@pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])
+def test_resumed_polar_fills_take_no_log(monkeypatch, source_id):
+    # a polar block takes its logs when it is made; the fills that start on
+    # it copy its deviates and the spare
+    calls = _count_words(monkeypatch)
+    sampler, source = make_sampler("polar"), make_source(source_id, 4)
+    ref_sampler, ref_source = _reference("polar", source)
+    sizes = range(1, 24)
+    ref = [ref_sampler.next_gaussian(ref_source)
+           for _ in range(30 + sum(sizes))]
+    got = _fill(sampler, source, 30)
+    logs = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: logs.append(x) or log(x))
+    for size in sizes:
+        got += _fill(sampler, source, size)
+    assert logs == []
+    assert len(calls) == 1
+    assert got == ref
+    assert (source.state, sampler.spare) == (ref_source.state, ref_sampler.spare)
 
 
 @pytest.mark.parametrize("sampler_id", ["polar", "ziggurat", "modified-ziggurat"])

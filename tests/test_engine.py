@@ -347,7 +347,7 @@ def _count_words(monkeypatch):
 
 
 @pytest.mark.parametrize("source_id", ["lcg48", "splitmix"])
-@pytest.mark.parametrize("k", [1, 63, 65, engine.READ_AHEAD, engine.BLOCK])
+@pytest.mark.parametrize("k", [1, 63, 65, 1024, engine.READ_AHEAD, engine.BLOCK])
 def test_words_record_the_source_state_after_each_word(source_id, k):
     source = make_source(source_id, 1234)
     ref = make_source(source_id, 1234)

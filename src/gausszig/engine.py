@@ -1,57 +1,47 @@
 """numpy block engine for the samplers, bit-identical to the per-call path.
 
 Bulk generation and the benchmark harness fill arrays through this module.
-Words are made in blocks of at most ``BLOCK`` with numpy: SplitMix64 as
-``mix64(state + k*gamma)``, the 48-bit LCG through the jump-ahead
-coefficients ``a^k`` and ``c_k`` mod 2^48, two states per u64.
+Words are made in blocks of at most ``BLOCK`` with numpy, SplitMix64 as
+``mix64(state + k*gamma)`` and the 48-bit LCG through the jump-ahead
+coefficients ``a^k`` and ``c_k`` mod 2^48, with the source's state after
+each word: the SplitMix64 sum before the mix, the LCG state before ``>> 16``.
 
-Whether a ziggurat word takes the fast path depends on that word alone, so
-one vector test accepts every fast word of a block at once. The other
-positions are walked once per block in plain Python ints. A wedge attempt
-at word s always reads exactly words s and s+1, so it is decided in the
-walk with the per-call expressions, ``y = ytab[i] + u*(ytab[i+1]-ytab[i])``
-against ``math.exp(-0.5*x*x)``; only tails call into :mod:`gausszig.samplers`
-(``tail_sample``), reading the block's following words and then the source.
-The same walk counts the layer of every attempt when occupancy is asked for.
-Polar attempts always start on an even word, so the pair acceptance is one
-vector test too. The deviates of every accepted pair are made with the
-block, the log from ``math.log``, and a polar fill copies a slice of them.
-No accept/reject decision and no output value comes from ``np.log`` or
-``np.exp``, whose roundings differ from ``math``'s on some inputs.
+Every attempt in a block is decided when the block is made. Whether a
+ziggurat word takes the fast path depends on that word alone, so one vector
+test accepts every fast word. The others are walked in order in plain
+Python ints: a wedge attempt at word s reads exactly words s and s+1 and is
+decided with the per-call expressions, ``y = ytab[i] + u*(ytab[i+1]-ytab[i])``
+against ``math.exp(-0.5*x*x)``; a tail reads the words after s through
+``samplers.tail_sample``. An attempt that would read past the block's last
+word starts the next block instead. Polar attempts start on even words, so
+their acceptance is one vector test, and each accepted pair's deviates take
+one ``math.log``. No accept/reject decision and no output value comes from
+``np.log`` or ``np.exp``, whose roundings differ from ``math``'s.
 
-Making the words also gives the source's state after each of them: the
-SplitMix64 sum ``state + k*gamma`` before the mix, and the LCG state before
-``>> 16``. A block keeps these states, and a fill that stops inside it sets
-the source to the state after the last word used. The deviates, the final
-source state and the polar spare are therefore exactly those of
-``sampler.next_gaussian(source)`` called once per element; the test suite
-pins that.
+So a block carries its deviates in order; a fill of either sampler copies
+a slice of them and sets the source to the state after the last attempt it
+used. Deviates, final source state, polar spare, layer counts and where
+``LOOP_GUARD`` trips are those of ``sampler.next_gaussian(source)`` called
+once per element, as the test suite pins.
 
-A block holds at least ``READ_AHEAD`` words, and a block of that size
-outlives its fill: the sampler keeps it (``read_ahead``) with the states and
-what was derived from the words. The next fill starts on the unread words,
-with no numpy round to make them. A fill that wants more than they hold
-takes the rest, then makes a new block from where the source stands, so no
-word is made twice. Every fill on a supported source takes this path,
-however short; only sources the engine does not support run per call.
+A block of at most ``READ_AHEAD`` words outlives its fill: the sampler keeps
+it (``read_ahead``), and the next fill starts on its unread deviates with no
+numpy round. A fill that wants more takes the rest, then makes a new block
+from where the source stands, so no word is made twice. A larger block,
+made for one long fill, is dropped after it. Every fill on a supported
+source takes this path, however short; other sources run per call.
 
-Nothing ties the block to one source object. A fill uses it only when the
-source's type, gamma and state are those of an unread position, since the
-words are a pure function of these; otherwise it makes a new block.
-``_Block.seek`` looks for the source's state first at the read position,
-then, if per-call draws moved it ahead, among the states that end an unread
-attempt. A block made for one long fill is larger than ``READ_AHEAD`` and
-is dropped after it, so that no sampler holds more than one block of
-``READ_AHEAD`` words between fills. Only ``_words`` and ``supports`` tell
-the two sources apart.
+Nothing ties a block to one source object: words are a pure function of the
+source's type, gamma and state, so a fill resumes the block whenever the
+source is in the state of an unread attempt start (``_Block.seek``), and
+otherwise makes a new one. Only ``_words`` and ``supports`` tell the two
+sources apart.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -93,8 +83,9 @@ def available() -> bool:
 
 
 def supports(source: UniformSource) -> bool:
-    """Whether the engine makes this source's words in blocks."""
-    return isinstance(source, (Lcg48, SplitMix64))
+    """Whether the engine makes this source's words in blocks: an Lcg48 or a
+    SplitMix64 itself, since a subclass may draw other words."""
+    return type(source) in (Lcg48, SplitMix64)
 
 
 @lru_cache(maxsize=None)
@@ -158,58 +149,76 @@ def _words(source: UniformSource, k: int):
 
 
 class _Block:
-    """The source's state after each word of a round, and what the sampler
-    derived from the words (`data`).
+    """A round of words, decided: the deviates they give, in order (`dev`),
+    and the source's state after each word (`states`).
 
-    Position j stands for `width` words: one ziggurat attempt, one polar
-    pair. `pos` is the read position. Words are a pure function of the
-    source's type, gamma and state, so any source in the state of an unread
-    position may be served from the block: the state after word j is
-    `states[j]`.
+    `width` is both the words of the shortest attempt and the deviates an
+    accepted one gives: 1 for the ziggurats, 2 for polar. keep[j] marks an
+    accepted attempt on word j*width; `starts`, the word each one starts on,
+    is made from it when a fill needs it. Deviate d comes from attempt
+    d // width. A ziggurat wedge reads two words and a tail those up to
+    `ends[start]`; `tried` marks the words any attempt starts on, and `idx`
+    holds each word's sign*n + layer. A rejected attempt reads two words in
+    both samplers, so the misses between two deviates are half the words
+    between them; `trail` counts those after the last one. `pos` is the read
+    position, where an attempt starts, and `dpos` the first deviate whose
+    attempt starts there or later.
     """
 
-    __slots__ = ("kind", "states", "data", "width", "size", "pos")
+    __slots__ = ("kind", "states", "dev", "width", "trail", "starts", "ends",
+                 "keep", "tried", "idx", "size", "pos", "dpos")
 
-    def __init__(self, source: UniformSource, states: np.ndarray, data: tuple,
-                 width: int):
+    def __init__(self, source: UniformSource, states: np.ndarray,
+                 dev: np.ndarray, width: int, trail: int, keep: np.ndarray,
+                 ends=None, tried=None, idx=None):
         self.kind = type(source), getattr(source, "gamma", None)
-        self.states = states
-        self.data = data
-        self.width = width
-        self.size = states.shape[0] // width
-        self.pos = 0
+        self.states, self.dev, self.width, self.trail = states, dev, width, trail
+        self.keep, self.ends, self.tried, self.idx = keep, ends, tried, idx
+        self.starts, self.size, self.pos, self.dpos = None, states.shape[0], 0, 0
+
+    def attempts(self) -> np.ndarray:
+        """The word each accepted attempt starts on."""
+        if self.starts is None:
+            self.starts = np.flatnonzero(self.keep)
+            self.starts *= self.width
+        return self.starts
+
+    def end(self, a: int) -> int:
+        """The word after accepted attempt a."""
+        s = self.attempts().item(a)
+        if self.tried is None or s + 1 == self.size or self.tried.item(s + 1):
+            return s + self.width
+        return self.ends.get(s, s + 2)  # a tail, or else a wedge
 
     def seek(self, source: UniformSource) -> bool:
-        """Move `pos` to where the source sits; False if it is off the block.
+        """Move `pos` to where the source sits; False if it is off the block
+        or inside an attempt.
 
         A block on a sampler has pos >= 1, so the source's state at pos is
-        states[pos*width - 1]. Per-call draws between fills move the source
-        ahead; it is then looked for among the states that end an unread
-        attempt. A source at the block's end sits at pos = size, with
-        nothing left to read.
+        states[pos - 1]. Per-call draws between fills move the source ahead,
+        to be looked for among the unread states `width` words apart. Every
+        even word starts a polar attempt; a ziggurat word must be `tried`.
         """
         if (type(source), getattr(source, "gamma", None)) != self.kind:
             return False
         width, state = self.width, source.state
-        at = self.pos * width - 1
-        if self.states.item(at) == state:
+        if self.states.item(self.pos - 1) == state:
             return True
-        hit = np.flatnonzero(self.states[at + width::width] == state)
+        hit = np.flatnonzero(self.states[self.pos - 1 + width::width] == state)
         if not hit.size:
             return False
-        self.pos += 1 + int(hit[0])
+        pos = self.pos + width * (1 + int(hit[0]))
+        if pos < self.size and self.tried is not None and not self.tried.item(pos):
+            return False
+        self.pos = pos
+        self.dpos = int(self.attempts().searchsorted(pos)) * width
         return True
 
 
 def _resume(sampler: GaussianSampler, source: UniformSource) -> _Block | None:
-    """The sampler's block if the source sits on it with positions unread,
-    and the source moved past the block's last word, as a new block leaves
-    it.
-
-    A fill that wants more than the block has left takes the rest, and its
-    next round makes a new block from where the source then stands, so no
-    word is made twice.
-    """
+    """The sampler's block if the source sits on it with words unread, and
+    the source moved past the block's last word, as a new block leaves it:
+    a fill that wants more takes the rest, then makes a new block."""
     block = sampler.read_ahead
     if block is None or not block.seek(source) or block.pos == block.size:
         return None
@@ -219,32 +228,26 @@ def _resume(sampler: GaussianSampler, source: UniformSource) -> _Block | None:
 
 def _finish(sampler: GaussianSampler, source: UniformSource, block: _Block,
             end: int) -> None:
-    """Leave the source at position `end` of the block. A block of at most
+    """Leave the source at word `end` of the block. A block of at most
     READ_AHEAD words that still has unread words stays on the sampler; a
     larger one, made for one long fill, is dropped."""
     sampler.read_ahead = None
     if end < block.size:
-        source.state = block.states.item(end * block.width - 1)
-        if block.size * block.width <= READ_AHEAD:
+        source.state = block.states.item(end - 1)
+        if block.size <= READ_AHEAD:
             block.pos = end
             sampler.read_ahead = block
 
 
 class _BlockReader(UniformSource):
-    """Serves a block's words from `cursor` on, then the source's next words."""
+    """Serves a block's words from `cursor` on; past the last, IndexError."""
 
-    def __init__(self, words: np.ndarray, source: UniformSource, cursor: int):
-        self.words = words
-        self.size = words.shape[0]
-        self.source = source
-        self.cursor = cursor
+    def __init__(self, words: np.ndarray, cursor: int):
+        self.words, self.cursor = words, cursor
 
     def next_u64(self) -> int:
-        j = self.cursor
-        self.cursor = j + 1
-        if j < self.size:
-            return self.words.item(j)
-        return self.source.next_u64()
+        self.cursor += 1
+        return self.words.item(self.cursor - 1)
 
 
 def _fast_path(sampler: ZigguratSampler, w: np.ndarray):
@@ -273,97 +276,67 @@ def _ziggurat_words(need: int) -> int:
 
 
 def _ziggurat_block(sampler: ZigguratSampler, source: UniformSource,
-                    need: int) -> _Block:
-    """A new block for `need` more deviates.
+                    need: int) -> _Block | None:
+    """A new block for `need` more deviates, every attempt in it decided.
 
-    data: the words; each word's fast-path value, sign*n + layer and fast
-    mask; and for the slow positions, four lists: position, sign*n + layer,
-    value and the word after it.
+    An attempt the block cannot finish, a wedge on its last word or a tail
+    that runs past its end, is cut: the block ends before it, and the next
+    block starts with it. If that is the first attempt, a tail (a wedge fits
+    in any fresh block), the source is set back and None is returned: the
+    fill draws that deviate per call, which a tail gives or raises on, so no
+    miss is counted differently.
     """
+    start = source.state
     words, states = _words(
         source, min(BLOCK, max(READ_AHEAD, _ziggurat_words(need))))
-    values, idx, fast = _fast_path(sampler, words)
-    slow = np.flatnonzero(~fast)
-    return _Block(source, states, (
-        words, values, idx, fast, slow.tolist(), idx[slow].tolist(),
-        values[slow].tolist(), words.take(slow + 1, mode="clip").tolist()), 1)
-
-
-def _fill_ziggurat(sampler: ZigguratSampler, source: UniformSource,
-                   out: np.ndarray, counts: np.ndarray | None) -> None:
+    values, idx, keep = _fast_path(sampler, words)
+    slow = np.flatnonzero(~keep)
     t = sampler.tables
-    layer_mask = t.n - 1
-    ytab = t.ytab
-    exp = math.exp
-    n = out.shape[0]
-    filled = 0
-    misses = 0  # rejected attempts since the last deviate, across rounds
-    while filled < n:
-        need = n - filled
-        block = _resume(sampler, source) or _ziggurat_block(sampler, source, need)
-        # keep starts as the fast mask and ends as the mask of deviates
-        words, values, idx, keep, slow, layers, xs, nexts = block.data
-        k = block.size
-        # pos: first word no attempt has read yet; lost: words before pos
-        # that gave no deviate, the ones before the read position included
-        first = pos = lost = block.pos
-        eaten, taken, rejected = [], [], []
-        walk = islice(zip(slow, layers, xs, nexts), bisect_left(slow, first),
-                      None)
-        for s, ii, x, w in walk:
-            if s < pos:
-                continue  # read by the previous attempt
-            if s - lost >= need:
-                break  # the words before s already hold the request
-            if s > pos:
-                misses = 0  # fast deviates lie between
-            i = ii & layer_mask
-            if i == 0:
-                reader = _BlockReader(words, source, s + 1)
+    ytab, layer_mask, exp = t.ytab, t.n - 1, math.exp
+    cut = k = words.shape[0]
+    pos = 0  # first word no attempt has read
+    eaten, taken, rejected, ends = [], [], [], {}
+    for s, ii, x, w in zip(slow.tolist(), idx[slow].tolist(),
+                           values[slow].tolist(),
+                           words.take(slow + 1, mode="clip").tolist()):
+        if s < pos:
+            continue  # read by the previous attempt
+        i = ii & layer_mask
+        if i == 0:
+            reader = _BlockReader(words, s + 1)
+            try:
                 v = tail_sample(reader, t.r)
-                pos = reader.cursor  # past the block if the tail ran over it
-                eaten.extend(range(s + 1, min(pos, k)))
-                lost += pos - s - 1
-                taken.append(s)
-                values[s] = -v if ii else v
-                misses = 0
-                continue
-            # a wedge attempt reads exactly its own word and the next one
+            except (IndexError, RejectionLoopExceeded):
+                cut = s
+                break
+            pos = ends[s] = reader.cursor
+            eaten.extend(range(s + 1, pos))
+            values[s] = -v if ii else v
+        else:
+            if s + 1 == k:
+                cut = s
+                break
             pos = s + 2
-            lost += 1
-            if s + 1 < k:
-                eaten.append(s + 1)
-            else:
-                w = source.next_u64()
+            eaten.append(s + 1)
             y = ytab[i] + ((w >> 11) * _UNIT_SCALE) * (ytab[i + 1] - ytab[i])
-            if y < exp(-0.5 * x * x):
-                taken.append(s)
-                misses = 0
+            if not y < exp(-0.5 * x * x):
+                rejected.append(s)
                 continue
-            rejected.append(s)
-            lost += 1
-            misses += 1
-            if misses >= LOOP_GUARD:
-                raise RejectionLoopExceeded(
-                    f"{sampler.algorithm_id} exceeded its iteration guard")
-        if pos < k:
-            misses = 0  # the block ends in fast deviates
-        if eaten:
-            keep[eaten] = False
-        if taken:
-            keep[taken] = True
-        got = min(need, max(k, pos) - lost)
-        end = got + lost  # words read by the deviates used and the attempts before
-        out[filled:filled + got] = (
-            values[first:end] if lost == first  # no slow attempt among them
-            else values[first:end][keep[first:end]])
-        filled += got
-        if counts is not None:
-            if rejected:
-                keep[rejected] = True  # every attempt, deviate or not
-            counts += np.bincount(idx[first:end][keep[first:end]] & layer_mask,
-                                  minlength=t.n)
-        _finish(sampler, source, block, end)
+        taken.append(s)
+    if not cut:
+        source.state = start
+        return None
+    source.state = states.item(cut - 1)
+    keep[eaten] = False
+    keep[taken] = True
+    tried = keep.copy()
+    tried[rejected] = True
+    trail = 0  # rejected attempts that end the block: s = cut - 2, cut - 4, ...
+    while trail < len(rejected) and rejected[-1 - trail] == cut - 2 * trail - 2:
+        trail += 1
+    keep = keep[:cut]
+    return _Block(source, states[:cut], values[:cut][keep], 1, trail, keep,
+                  ends, tried[:cut], idx[:cut])
 
 
 def _polar_attempts(pairs: int) -> int:
@@ -372,14 +345,13 @@ def _polar_attempts(pairs: int) -> int:
     return pairs + (pairs >> 2) + (pairs >> 4) + 16
 
 
-def _polar_block(source: UniformSource, pairs: int) -> _Block:
-    """A new block for `pairs` more accepted pairs.
-
-    data: the deviates of the accepted attempts, v1*mul and v2*mul of each
-    in turn, and the accepted attempts. mul takes one ``math.log`` per
-    accepted attempt, with the per-call order of operations.
-    """
-    attempts = min(BLOCK // 2, max(READ_AHEAD // 2, _polar_attempts(pairs)))
+def _polar_block(sampler: PolarSampler, source: UniformSource,
+                 need: int) -> _Block:
+    """A new block for `need` more deviates: one vector test accepts the
+    pairs, and each accepted one gives v1*mul and v2*mul in turn, mul taking
+    one ``math.log`` with the per-call order of operations."""
+    attempts = min(BLOCK // 2,
+                   max(READ_AHEAD // 2, _polar_attempts((need + 1) // 2)))
     words, states = _words(source, 2 * attempts)
     v = (words >> np.uint64(11)).astype(np.float64)
     v *= 2.0 * _UNIT_SCALE  # a power of two, so as exact as two steps
@@ -387,7 +359,8 @@ def _polar_block(source: UniformSource, pairs: int) -> _Block:
     v1, v2 = v[0::2], v[1::2]
     s = v1 * v1
     s += v2 * v2
-    accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
+    ok = (s > 0.0) & (s < 1.0)
+    accepted = np.flatnonzero(ok)
     s = s[accepted]
     mul = np.fromiter(map(math.log, s.tolist()), np.float64, accepted.size)
     mul *= -2.0
@@ -396,42 +369,66 @@ def _polar_block(source: UniformSource, pairs: int) -> _Block:
     dev = np.empty(2 * accepted.size)
     np.multiply(v1[accepted], mul, out=dev[0::2])
     np.multiply(v2[accepted], mul, out=dev[1::2])
-    return _Block(source, states, (dev, accepted), 2)
+    trail = attempts - 1 - int(accepted[-1]) if accepted.size else attempts
+    return _Block(source, states, dev, 2, trail, ok)
 
 
-def _fill_polar(sampler: PolarSampler, source: UniformSource,
-                out: np.ndarray) -> None:
+def _longest_run(block: _Block, d: int, got: int, misses: int) -> int:
+    """The most rejected attempts in a row before one of deviates d ..
+    d+got-1, or before the block's end if got is 0, `misses` of them before
+    the read position. Only a block of LOOP_GUARD words or more can hold
+    such a run between two deviates, so only then are those gaps scanned."""
+    w, pos = block.width, block.pos
+    if not got:
+        return misses + (block.size - pos) // 2
+    run = misses + int(block.keep[pos // w:].argmax()) * w // 2
+    a0, a1 = d // w, (d + got - 1) // w + 1
+    if LOOP_GUARD <= block.size and a1 - a0 > 1:
+        s = block.attempts()[a0:a1]
+        e = np.array([block.end(a) for a in range(a0, a1 - 1)])
+        run = max(run, int((s[1:] - e).max()) // 2)
+    return run
+
+
+def _fill_blocks(sampler: GaussianSampler, source: UniformSource,
+                 out: np.ndarray, counts: np.ndarray | None, make) -> None:
+    """Copy each block's deviates from the read position on, and leave the
+    source after the last attempt used."""
     n = out.shape[0]
     filled = 0
-    if n and sampler.spare is not None:
+    if n and getattr(sampler, "spare", None) is not None:
         out[0] = sampler.spare
         sampler.spare = None
         filled = 1
-    misses = 0  # rejected attempts since the last accepted one
+    misses = 0  # rejected attempts since the last deviate, across blocks
     while filled < n:
-        block = (_resume(sampler, source)
-                 or _polar_block(source, (n - filled + 1) // 2))
-        dev, accepted = block.data
-        first = block.pos
-        at = int(accepted.searchsorted(first))
-        ahead = (int(accepted[at]) if at < accepted.size else block.size) - first
-        if misses + ahead >= LOOP_GUARD:
-            raise RejectionLoopExceeded("polar method exceeded its iteration guard")
-        # deviate 2*at is the first of the first unread accepted attempt; an
-        # odd count leaves the second of its last attempt as the spare
-        got = min(n - filled, dev.shape[0] - 2 * at)
-        out[filled:filled + got] = dev[2 * at:2 * at + got]
+        block = _resume(sampler, source) or make(sampler, source, n - filled)
+        if block is None:  # see _ziggurat_block
+            out[filled] = sampler._draw(source, counts)
+            filled += 1
+            misses = 0
+            continue
+        w, pos, d, dev = block.width, block.pos, block.dpos, block.dev
+        got = min(n - filled, dev.shape[0] - d)
+        if (misses or LOOP_GUARD <= block.size) and (
+                _longest_run(block, d, got, misses) >= LOOP_GUARD):
+            raise RejectionLoopExceeded(
+                f"{sampler.algorithm_id} exceeded its iteration guard")
+        out[filled:filled + got] = dev[d:d + got]
         filled += got
-        if filled == n:
-            if got & 1:
-                sampler.spare = dev.item(2 * at + got)
-            _finish(sampler, source, block, int(accepted[at + (got - 1) // 2]) + 1)
-            break
-        sampler.read_ahead = None
-        if at < accepted.size:
-            misses = block.size - 1 - int(accepted[-1])
-        else:
-            misses += block.size - first
+        end = block.end((d + got - 1) // w) if filled == n else block.size
+        if counts is not None:  # every attempt, deviate or not
+            counts += np.bincount(
+                block.idx[pos:end][block.tried[pos:end]] & (counts.shape[0] - 1),
+                minlength=counts.shape[0])
+        if filled < n:  # the block is spent; dropped before the next is made
+            misses = block.trail if got else misses + (block.size - pos) // 2
+            sampler.read_ahead = block = None
+            continue
+        if (d + got) % w:  # the second deviate of the last polar pair
+            sampler.spare = dev.item(d + got)
+        block.dpos = (d + got - 1) // w * w + w
+        _finish(sampler, source, block, end)
 
 
 def _fill_per_call(sampler: GaussianSampler, source: UniformSource,
@@ -466,8 +463,9 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
     For a ziggurat sampler, `counts` (int64, one cell per layer) gains the
     layer of every attempt made, as `sample_with_occupancy` counts them.
     """
+    zig = isinstance(sampler, ZigguratSampler)
     if counts is not None:
-        if not isinstance(sampler, ZigguratSampler):
+        if not zig:
             raise TypeError(f"{sampler.algorithm_id} has no layers to count")
         if counts.shape != (sampler.tables.n,):
             raise ValueError(f"counts needs shape ({sampler.tables.n},), "
@@ -475,9 +473,9 @@ def fill_gaussians(sampler: GaussianSampler, source: UniformSource,
     if not supports(source):
         _fill_per_call(sampler, source, out, counts)
         return
-    if isinstance(sampler, PolarSampler):
-        _fill_polar(sampler, source, out)
-    elif isinstance(sampler, ZigguratSampler):
-        _fill_ziggurat(sampler, source, out, counts)
+    if zig:
+        _fill_blocks(sampler, source, out, counts, _ziggurat_block)
+    elif isinstance(sampler, PolarSampler):
+        _fill_blocks(sampler, source, out, counts, _polar_block)
     else:
         raise TypeError(f"no engine path for sampler {sampler.algorithm_id!r}")

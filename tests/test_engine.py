@@ -103,11 +103,11 @@ def test_fills_ending_next_to_a_slow_deviate(source_id, sampler_id):
 
 @pytest.mark.parametrize("sampler_id,seed",
                          [("ziggurat", 45), ("modified-ziggurat", 10)])
-def test_round_ending_in_a_wedge_reads_its_uniform_from_the_source(
-        sampler_id, seed):
-    # a fill longer than one round walks the whole first round; with this
+def test_wedge_on_a_rounds_last_word_starts_the_next_round(sampler_id, seed):
+    # a fill longer than one round uses the whole first round; with this
     # seed the round's last word starts a wedge attempt, whose uniform is
-    # the first word after the round
+    # the first word after the round, so the round ends before the wedge
+    # and the next round starts with it
     n = engine.BLOCK + 100
     sampler_p = make_sampler(sampler_id)
     source_p = CountingSource(make_source("splitmix", seed))
@@ -195,16 +195,16 @@ def test_occupancy_counts_of_the_wrong_shape_refused(cells, n):
 
 
 class _Tape(SplitMix64):
-    """A source the engine makes blocks for, whose words come from a tape;
-    its state counts the words read."""
+    """A source whose words come from a tape; its state counts the words
+    read, so setting the state back rewinds the tape."""
 
     def __init__(self, words):
         super().__init__(0)
-        self.tape = iter(words)
+        self.tape = list(words)
 
     def next_u64(self):
         self.state += 1
-        return next(self.tape)
+        return self.tape[self.state - 1]
 
 
 def _tape_words(source, k):
@@ -214,6 +214,15 @@ def _tape_words(source, k):
         words.append(source.next_u64())
         states.append(source.state)
     return np.array(words, dtype=np.uint64), np.array(states, dtype=np.uint64)
+
+
+def _serve_tapes(monkeypatch, words=_tape_words):
+    """Have the engine make blocks for a _Tape with `words`; as a subclass
+    of a supported source it would otherwise run per call."""
+    supports = engine.supports
+    monkeypatch.setattr(engine, "supports",
+                        lambda source: type(source) is _Tape or supports(source))
+    monkeypatch.setattr(engine, "_words", words)
 
 
 def _stuck_tape(sampler_id, misses):
@@ -241,7 +250,7 @@ def test_engine_loop_guard_matches_per_call(monkeypatch, sampler_id,
     guard = 50
     monkeypatch.setattr(engine, "LOOP_GUARD", guard)
     monkeypatch.setattr(samplers_mod, "LOOP_GUARD", guard)
-    monkeypatch.setattr(engine, "_words", _tape_words)
+    _serve_tapes(monkeypatch)
     tape = _stuck_tape(sampler_id, guard if guard_trips else guard - 1)
     n = 40
 
@@ -320,6 +329,24 @@ def test_supports_reports_capability():
     assert engine.supports(make_source("lcg48", 0))
     assert engine.supports(make_source("splitmix", 0))
     assert not engine.supports(ScriptedSource([1, 2, 3]))
+
+
+class _FlippedSplitMix(SplitMix64):
+    """A subclass that draws other words than the SplitMix64 it extends."""
+
+    def next_u64(self):
+        return super().next_u64() ^ 1
+
+
+def test_subclass_drawing_other_words_runs_per_call():
+    # the engine makes the words of SplitMix64 itself; a subclass that
+    # overrides next_u64 must get its own words, one draw at a time
+    source, ref_source = _FlippedSplitMix(3), _FlippedSplitMix(3)
+    assert not engine.supports(source)
+    ref_sampler = make_sampler("modified-ziggurat")
+    got = _fill(make_sampler("modified-ziggurat"), source, 50)
+    assert got == [ref_sampler.next_gaussian(ref_source) for _ in range(50)]
+    assert source.state == ref_source.state
 
 
 # -- the read-ahead block: a fill that continues a stream starts on the words
@@ -605,9 +632,10 @@ def test_short_fills_run_on_the_block(monkeypatch, source_id, sampler_id):
 def test_resumed_at_any_unread_attempt_boundary(monkeypatch, source_id,
                                                sampler_id, skip):
     # raw words drawn between fills move the source past the read position;
-    # the next fill resumes the block wherever an unread attempt starts (any
-    # word for the ziggurats, an even one for polar). A source at the
-    # block's end ("end") or past it ("past") gets a new block.
+    # the next fill resumes the block wherever an unread attempt starts (for
+    # the ziggurats, with this seed, every skip below lands on one; any even
+    # word for polar). A source at the block's end ("end") or past it
+    # ("past") gets a new block.
     calls = _count_words(monkeypatch)
     sampler, source = make_sampler(sampler_id), make_source(source_id, 19)
     ref_sampler, ref_source = _reference(sampler_id, source)
@@ -703,7 +731,7 @@ def test_loop_guard_counts_across_rounds(monkeypatch, sampler_id):
         calls.append(k)
         return _tape_words(source, k)
 
-    monkeypatch.setattr(engine, "_words", counted)
+    _serve_tapes(monkeypatch, counted)
     tape = _stuck_tape(sampler_id, guard - 1)
     ref_sampler, ref_source = make_sampler(sampler_id), ScriptedSource(tape)
     ref = [ref_sampler.next_gaussian(ref_source) for _ in range(40)]
@@ -737,3 +765,112 @@ def test_engine_tables_built_once_on_first_fill(monkeypatch, sampler_id):
     assert ktab.tolist() == list(t.ktab) * 2
     expected = np.array(t.wtab + tuple(-w for w in t.wtab), dtype=np.float64)
     assert np.array_equal(wtab.view(np.uint64), expected.view(np.uint64))
+
+
+# -- attempts the block decides: a fill resumes a block only where an
+# -- attempt starts, and an attempt the block cannot finish starts the next
+
+
+def _attempts(sampler_id, source, layers, n):
+    """(first word, words read, accepted) of each attempt behind n per-call
+    deviates from a copy of `source`, words counted from where it sits."""
+    sampler, twin = _reference(sampler_id, source, layers)
+    counted = CountingSource(twin)
+    out = []
+    for _ in range(n):
+        before = counted.draws
+        counts = [0] * layers
+        sampler._draw(counted, counts)
+        last = before + 2 * (sum(counts) - 1)  # each rejected wedge reads two
+        out += [(s, 2, False) for s in range(before, last, 2)]
+        out.append((last, counted.draws - last, True))
+    return out
+
+
+#: raw words to draw between two fills, from the attempts after the first
+_LANDINGS = {
+    "wedge uniform": lambda atts: next(s + 1 for s, k, ok in atts
+                                       if k == 2 and ok),
+    "inside a tail": lambda atts: next(s + 2 for s, k, ok in atts if k > 2),
+    "rejected wedge": lambda atts: next(s for s, k, ok in atts if not ok),
+    "after a rejected wedge": lambda atts: next(s + 2 for s, k, ok in atts
+                                                if not ok),
+}
+
+
+@pytest.mark.parametrize("source_id,sampler_id", ZIGGURAT_PAIRINGS)
+@pytest.mark.parametrize("landing", list(_LANDINGS))
+def test_resumed_only_where_an_attempt_starts(monkeypatch, source_id,
+                                              sampler_id, landing):
+    # the block decided every attempt when it was made; raw draws that leave
+    # the source on a wedge's uniform or among a tail's words put it inside
+    # one, so the next fill makes a new block, while either end of a
+    # rejected wedge is an attempt start, where the block resumes
+    layers = 8
+    sampler, source = make_sampler(sampler_id, layers), make_source(source_id, 23)
+    ref_sampler, ref_source = _reference(sampler_id, source, layers)
+    counts = np.zeros(layers, dtype=np.int64)
+    ref_counts = [0] * layers
+    got = _fill(sampler, source, 30, counts)
+    ref = [ref_sampler._draw(ref_source, ref_counts) for _ in range(30)]
+    skip = _LANDINGS[landing](_attempts(sampler_id, source, layers, 400))
+    assert skip < engine.READ_AHEAD - 100  # inside the block
+    calls = _count_words(monkeypatch)
+    got += [source.next_u64() for _ in range(skip)] + _fill(sampler, source,
+                                                            30, counts)
+    ref += [ref_source.next_u64() for _ in range(skip)]
+    ref += [ref_sampler._draw(ref_source, ref_counts) for _ in range(30)]
+    assert got == ref
+    assert counts.tolist() == ref_counts
+    assert source.state == ref_source.state
+    resumed = "rejected" in landing
+    assert len(calls) == 1 - resumed
+
+
+def _cut_tape(sampler, cut):
+    """(tape, deviates before the cut): fast words up to an attempt the
+    first READ_AHEAD-word block cannot finish, then fast words for ever.
+
+    "tail": a tail on the block's third-last word, its uniforms past the
+    end; "wedge": a rejected and an accepted wedge, the first on the last
+    word; "first tail": a tail on word 10 that reads more than READ_AHEAD
+    words, so that no fresh block starting with it can finish it.
+    """
+    t = sampler.tables
+    fast = (5 << sampler.idx_shift) | (t.ktab[5] // 2 << sampler.m_shift)
+    mid_wedge = (t.ktab[1] + (1 << t.mantissa_bits)) // 2
+    wedge = (1 << sampler.idx_shift) | (mid_wedge << sampler.m_shift)
+    tail = ((1 << t.mantissa_bits) - 1) << sampler.m_shift  # layer 0, slow
+    half = 1 << 63  # a uniform of 0.5; two of them end a tail
+    before, attempt = {
+        "tail": (engine.READ_AHEAD - 3, [tail, 0, 0, 0, 0, half, half]),
+        "wedge": (engine.READ_AHEAD - 1, [wedge, (1 << 64) - 1, wedge, 0]),
+        "first tail": (10, [tail] + [0, 0] * (engine.READ_AHEAD // 2 + 10)
+                       + [half, half]),
+    }[cut]
+    return [fast] * before + attempt + [fast] * (3 * engine.READ_AHEAD), before
+
+
+@pytest.mark.parametrize("sampler_id", ["ziggurat", "modified-ziggurat"])
+@pytest.mark.parametrize("cut", ["tail", "wedge", "first tail"])
+@pytest.mark.parametrize("after", [-1, 0, 1])
+def test_attempt_a_block_cannot_finish_starts_the_next(monkeypatch, sampler_id,
+                                                       cut, after):
+    # fills end one deviate before the cut attempt, just before it, or just
+    # after it (after = -1, 0, 1); a "first tail" cannot finish in any
+    # fresh block either, and is drawn per call
+    _serve_tapes(monkeypatch)
+    sampler = make_sampler(sampler_id)
+    tape, before = _cut_tape(sampler, cut)
+    sizes = (5, before - 5 + after) + ((1, 1) if after < 0 else ()) + (40,)
+    source = _Tape(tape)
+    counts = np.zeros(sampler.tables.n, dtype=np.int64)
+    got = []
+    for size in sizes:
+        got += _fill(sampler, source, size, counts)
+    ref_sampler, ref_source = make_sampler(sampler_id), ScriptedSource(tape)
+    ref_counts = [0] * sampler.tables.n
+    ref = [ref_sampler._draw(ref_source, ref_counts) for _ in range(sum(sizes))]
+    assert got == ref
+    assert counts.tolist() == ref_counts
+    assert source.state == ref_source.cursor

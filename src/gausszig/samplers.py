@@ -18,7 +18,6 @@ spare deviate.
 
 from __future__ import annotations
 
-import abc
 import functools
 import math
 
@@ -57,16 +56,20 @@ def tail_sample(src: UniformSource, r: float) -> float:
     raise RejectionLoopExceeded("tail sampler exceeded its iteration guard")
 
 
-class GaussianSampler(abc.ABC):
-    """A standard-normal sampler fed by an external uniform source."""
+class GaussianSampler:
+    """A standard-normal sampler fed by an external uniform source.
+
+    Not an ABC: the engine's isinstance test on every fill costs several
+    times more through ``ABCMeta.__instancecheck__``."""
 
     algorithm_id: str = "abstract"
     #: the batch engine's last block for this sampler (see gausszig.engine)
     read_ahead = None
 
-    @abc.abstractmethod
     def next_gaussian(self, src: UniformSource) -> float:
         """Return one N(0, 1) deviate, consuming draws from src."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not define next_gaussian")
 
 
 class ZigguratSampler(GaussianSampler):

@@ -13,17 +13,10 @@ elements in two reused buffers. `ks_test` and `chi_square_gof` read the
 sorted sample, and sort a copy only when their input is not already
 ascending, so a caller that sorts its sample once in place holds one array.
 
-`ks_test` bounds each run of _KS_RUN consecutive sorted points by the CDF at
-its two ends: the normal CDF is monotone, so no gap inside the run of 1-based
-indices a..b exceeds max(b/n - F(x_a), F(x_b) - (a-1)/n). It evaluates a
-vectorized erfc approximation, within _KS_EPS of `normal_cdf`, at the run
-ends, drops every run whose bound plus 2*_KS_EPS falls below the largest
-approximate gap, and screens the points of the runs left. The run holding
-the exact maximum is never dropped, and its index is never outside the
-guard band of the screened maximum, so taking the statistic from the scalar
-`normal_cdf` at every index in that band makes it equal a per-element
-evaluation bit for bit. `chi_square_gof` counts each bin as the difference
-of two positions of its edges in the sorted sample.
+`ks_test` is a branch and bound over runs of sorted points that reads only
+exact CDF values, so its statistic equals a per-element evaluation bit for
+bit. `chi_square_gof` counts each bin as the difference of two positions of
+its edges in the sorted sample.
 """
 
 from __future__ import annotations
@@ -41,16 +34,15 @@ _SQRT2 = math.sqrt(2.0)
 #: elements per block in moments and the ascending check
 BLOCK = 1 << 16
 
-#: bound on |approximate CDF - normal_cdf| that ks_test's guard band assumes;
-#: the Numerical Recipes erfcc below is within 6e-8 (fractional error of erfc
-#: < 1.2e-7, halved in the CDF)
-_KS_EPS = 1e-6
+#: consecutive sorted points that ks_test first bounds by the CDF at their
+#: two ends; 2 * _KS_SPLIT**4, so each cut is even and the last runs are pairs
+_KS_RUN = 512
 
-#: consecutive sorted points that ks_test bounds by the CDF at their two ends
-_KS_RUN = 128
+#: shorter runs that ks_test cuts each run it keeps into
+_KS_SPLIT = 4
 
-#: most points (of runs the bound keeps) and runs that ks_test screens at once
-_KS_PIECE = 128 * _KS_RUN
+#: points that ks_test searches at once, so no scratch grows with n
+_KS_PIECE = 1 << 20
 
 
 # --- special functions -------------------------------------------------
@@ -260,20 +252,14 @@ def _sorted(samples) -> np.ndarray:
     return arr
 
 
-def _approx_normal_cdf(x: np.ndarray) -> np.ndarray:
-    # Numerical Recipes erfcc: fractional error < 1.2e-7 for every argument.
-    # Only ks_test's screening uses it; no reported value comes from it.
-    z = np.abs(x) / _SQRT2
-    t = 1.0 / (1.0 + 0.5 * z)
-    poly = -1.26551223 + t * (1.00002368 + t * (0.37409196 + t * (
-        0.09678418 + t * (-0.18628806 + t * (0.27886807 + t * (
-            -1.13520398 + t * (1.48851587 + t * (
-                -0.82215223 + t * 0.17087277))))))))
-    # in place from here, so that a block holds few temporaries at once
-    poly -= z * z
-    cdf = np.exp(poly, out=poly)
-    cdf *= 0.5 * t  # half erfc(|x|/sqrt2): the CDF below zero
-    np.subtract(1.0, cdf, out=cdf, where=x >= 0.0)
+def _normal_cdf_at(x: np.ndarray) -> np.ndarray:
+    # normal_cdf of each element, bit for bit: the same negation, division
+    # by _SQRT2 (not a product with its inverse), erfc and halving
+    t = np.negative(x)
+    t /= _SQRT2
+    cdf = np.fromiter(map(math.erfc, t.tolist()), dtype=np.float64,
+                      count=t.shape[0])
+    cdf *= 0.5
     return cdf
 
 
@@ -282,40 +268,21 @@ def _ks_gaps(cdf_vals: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(i / n - cdf_vals, cdf_vals - (i - 1.0) / n)
 
 
-def _ks_live_runs(arr: np.ndarray, start: int, best: float):
-    # of the next _KS_PIECE runs from index start, the first indices of
-    # those whose approximate bound is within 2*_KS_EPS of the largest
-    # approximate gap, and that gap: best or one at an end of these runs
-    n = arr.shape[0]
-    first = np.arange(start, min(n, start + _KS_PIECE * _KS_RUN), _KS_RUN)
-    last = np.minimum(first + (_KS_RUN - 1), n - 1)
-    f_first = _approx_normal_cdf(arr[first])
-    f_last = _approx_normal_cdf(arr[last])
-    best = max(best, float(_ks_gaps(f_first, first + 1.0, n).max()),
-               float(_ks_gaps(f_last, last + 1.0, n).max()))
-    bound = np.maximum((last + 1.0) / n - f_first, f_last - first / n)
-    return first[bound + 2.0 * _KS_EPS >= best], best
-
-
 def ks_test(samples) -> KsReport:
     """Two-sided KS statistic of a sample against the standard normal.
 
-    The sorted sample is cut into runs of _KS_RUN consecutive points. The
-    normal CDF is monotone, so no gap inside the run of 1-based indices
-    a..b exceeds max(b/n - F(x_a), F(x_b) - (a-1)/n). That bound is taken
-    from an approximate CDF within _KS_EPS of normal_cdf, evaluated at the
-    run's two ends only. Every approximate gap is within _KS_EPS of its
-    exact gap, so the exact maximum is at least the largest approximate gap
-    found so far minus _KS_EPS, and the run holding it has an approximate
-    bound of at least that maximum minus 2*_KS_EPS: each run whose bound
-    falls lower is dropped. The runs left are screened point by point,
-    _KS_PIECE points at a time. The index of the exact maximum gap scores
-    within 2*_KS_EPS of the approximate maximum; every index in that band is
-    recomputed with normal_cdf, and the statistic is the exact maximum over
-    them, so it equals a per-element evaluation bit for bit. A sample whose
-    runs all survive costs the approximate CDF at every point, as without
-    the run bound, and one whose gaps all tie within the band one
-    normal_cdf per element.
+    A branch and bound over the sorted sample, _KS_PIECE points at a time,
+    that reads only exact CDF values. The piece is cut into runs of _KS_RUN
+    consecutive points. The normal CDF is monotone, so no gap inside the
+    run of 0-based indices a..b exceeds max((b+1)/n - F(x_a), F(x_b) - a/n),
+    and taking F at the run's two ends gives that bound and the exact gaps
+    at both ends. Every run whose bound is below the largest gap found so
+    far is dropped: none of its points can hold the maximum. Each run left
+    is cut into _KS_SPLIT shorter runs, which are bounded the same way,
+    until the runs are pairs and every point left is a run end. The
+    statistic is the largest gap evaluated, so it equals a per-element
+    evaluation bit for bit. A sample whose runs all survive (an exact
+    quantile grid, where every gap ties) costs 4/3 CDF values per point.
     """
     arr = _sorted(samples)
     n = arr.shape[0]
@@ -327,35 +294,23 @@ def ks_test(samples) -> KsReport:
             raise ValueError(f"ks_test requires finite samples, got {end}")
 
     best = -math.inf
-    kept_idx, kept_gap = [], []
-    offsets = np.arange(_KS_RUN)
-    runs_per_piece = _KS_PIECE // _KS_RUN
-    # runs are bounded _KS_PIECE at a time, so no scratch grows with n
-    for start in range(0, n, _KS_PIECE * _KS_RUN):
-        live, best = _ks_live_runs(arr, start, best)
-        for k in range(0, live.shape[0], runs_per_piece):
-            runs = live[k:k + runs_per_piece]
-            # the sample's last run may be short
-            lo, hi = runs[0], min(n, runs[-1] + _KS_RUN)
-            if runs[-1] - lo == (runs.shape[0] - 1) * _KS_RUN:
-                # adjacent runs are read as a view, not gathered
-                idx, vals = np.arange(lo, hi), arr[lo:hi]
-            else:
-                idx = (runs[:, None] + offsets).ravel()[
-                    :(runs.shape[0] - 1) * _KS_RUN + hi - runs[-1]]
-                vals = arr[idx]
-            gaps = _ks_gaps(_approx_normal_cdf(vals), idx + 1.0, n)
-            best = max(best, float(gaps.max()))
-            # the band only tightens as best grows; the final cut is below
-            keep = np.flatnonzero(gaps >= best - 2.0 * _KS_EPS)
-            kept_idx.append(idx[keep])
-            kept_gap.append(gaps[keep])
-    idx = np.concatenate(kept_idx)
-    idx = idx[np.concatenate(kept_gap) >= best - 2.0 * _KS_EPS]
-
-    exact = np.array([normal_cdf(v) for v in arr[idx].tolist()])
-    d = _ks_gaps(exact, (idx + 1).astype(np.float64), n).max()
-    return KsReport(d_statistic=float(d), n=n)
+    for start in range(0, n, _KS_PIECE):
+        length = _KS_RUN
+        first = np.arange(start, min(n, start + _KS_PIECE), length)
+        while first.shape[0]:
+            last = np.minimum(first + (length - 1), n - 1)
+            f_first = _normal_cdf_at(arr[first])
+            f_last = _normal_cdf_at(arr[last])
+            best = max(best, float(_ks_gaps(f_first, first + 1.0, n).max()),
+                       float(_ks_gaps(f_last, last + 1.0, n).max()))
+            if length <= 2:
+                break  # every point of these runs is a run end
+            bound = np.maximum((last + 1.0) / n - f_first, f_last - first / n)
+            length //= _KS_SPLIT
+            first = (first[bound >= best, None]
+                     + np.arange(0, _KS_SPLIT * length, length)).ravel()
+            first = first[first < n]  # the sample's last run may be short
+    return KsReport(d_statistic=best, n=n)
 
 
 def chi_square_gof(samples, bin_edges) -> GofReport:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from gausszig import (
+    GaussianSampler,
     Lcg48,
     ModifiedZigguratSampler,
     PolarSampler,
@@ -388,3 +389,9 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             make_sampler("box-muller")
+
+    def test_base_class_draws_nothing(self):
+        src = CountingSource(SplitMix64(1))
+        with pytest.raises(NotImplementedError):
+            GaussianSampler().next_gaussian(src)
+        assert src.draws == 0

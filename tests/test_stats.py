@@ -22,7 +22,6 @@ from gausszig import stats
 from gausszig.stats import (
     BLOCK,
     MomentSummary,
-    _approx_normal_cdf,
     chi_square_sf,
     regularized_gamma_q,
     uniform_counts_gof,
@@ -34,6 +33,14 @@ from conftest import adaptive_simpson
 class TestNormalCdf:
     def test_symmetry_point(self):
         assert normal_cdf(0.0) == 0.5
+
+    def test_vector_cdf_is_normal_cdf_bit_for_bit(self):
+        ends = [s * v for v in (0.0, 5e-324, 1e-300, 8.3, 38.5, 40.0)
+                for s in (1.0, -1.0)]
+        x = np.concatenate(
+            [ends, np.random.default_rng(83).normal(0.0, 4.0, size=10_000)])
+        expected = np.array([normal_cdf(v) for v in x.tolist()])
+        assert stats._normal_cdf_at(x).tobytes() == expected.tobytes()
 
     def test_saturation(self):
         assert abs(normal_cdf(10.0) - 1.0) < 1e-12
@@ -249,29 +256,34 @@ def _tied(x, start, stop, at, peak):
     return x
 
 
-def _near_equal_maxima():
-    # two runs of ties, each a whole run, whose first gaps differ by less
-    # than the approximate CDF's error and rank the other way round under
-    # it: a run bound without the 2*_KS_EPS drops the exact maximum's run
+def _near_equal_maxima(skip):
+    # two runs of ties whose first gaps, F - i/n, are their largest and
+    # differ by less than 1e-12. The second is a whole run, whose bound falls
+    # just below the largest gap found. The first leaves the first skip
+    # points of its run untied: with skip = 1, a run bound of
+    # F(x_b) - (a+2)/n, 2/n too tight, drops the maximum's run
     n, a, b = 6 * _RUN, _RUN, 4 * _RUN
     x = _grid(n)
-
-    def err(v):
-        return float(_approx_normal_cdf(np.array([v]))[0]) - normal_cdf(v)
-
-    x[a:a + _RUN] = xa = float(sps.ndtri((a + 100) / n))
-    ga = normal_cdf(xa) - a / n
-    delta = 0.5 * (err(float(sps.ndtri((b + 100) / n))) - err(xa))
-    x[b:b + _RUN] = xb = normal_quantile(b / n + ga - delta)
+    x[a + skip:a + _RUN] = xa = float(
+        sps.ndtri((a + skip + 3 * _RUN // 4) / n))
+    ga = normal_cdf(xa) - (a + skip) / n
+    x[b:b + _RUN] = xb = normal_quantile(b / n + ga - 5e-13)
     gb = normal_cdf(xb) - b / n
-    assert 0.0 < ga - gb < err(xb) - err(xa)
+    assert 0.0 < ga - gb < 1e-12
     return x
+
+
+# a 0-based index that is an end of no run before the last level, whose runs
+# are pairs: every earlier level's runs are a multiple of 2 * _KS_SPLIT
+# points long, so their ends are 0 or -1 modulo 2 * _KS_SPLIT, and _MID is
+# _KS_SPLIT - 1 modulo it
+_MID = _RUN + 3 * stats._KS_SPLIT - 1
 
 
 KS_CASES = {
     "engine_1e5": lambda: _engine_deviates(100_000),
-    # index 151 is strictly inside the run of indices 129..256
-    "max_inside_a_run": lambda: _tied(_grid(1000), 150, 190, 180, 151),
+    "max_inside_a_run": lambda: _tied(_grid(2 * _RUN), _MID, _MID + 40,
+                                      _MID + 30, _MID + 1),
     "max_at_index_1": lambda: _tied(_grid(1000), 0, 8, 6, 1),
     # index n is the last run alone
     "max_at_index_n": lambda: _tied(_grid(3 * _RUN + 1), 3 * _RUN - 7,
@@ -279,10 +291,12 @@ KS_CASES = {
     "below_one_run": lambda: np.random.default_rng(67).normal(size=_RUN - 28),
     "runs_minus_1": lambda: np.random.default_rng(71).normal(size=3 * _RUN - 1),
     "runs_plus_1": lambda: np.random.default_rng(73).normal(size=3 * _RUN + 1),
-    "near_equal_maxima": _near_equal_maxima,
-    # every run survives its bound and every index is in the band, over
-    # several pieces
-    "grid_over_pieces": lambda: _grid(2 * stats._KS_PIECE + 5),
+    "near_equal_maxima": lambda: _near_equal_maxima(0),
+    "max_beside_a_run_start": lambda: _near_equal_maxima(1),
+    # mirrored, the maximum, (i+1)/n - F, is beside a run's last point
+    "max_beside_a_run_end": lambda: -_near_equal_maxima(1)[::-1],
+    # every run survives its bound down to the pairs, over two pieces
+    "grid_over_pieces": lambda: _grid(stats._KS_PIECE + 5),
     "shifted_normal": lambda: np.random.default_rng(31).normal(0.3, 1.2, 20_000),
     # every index's gap is ~0.5/n, so every index is a near-tie
     "quantile_grid": lambda: [normal_quantile((i - 0.5) / 2000)
@@ -445,19 +459,18 @@ class TestSortedSample:
         assert chi_square_gof(x, edges) == rep
         assert chi_square_gof(np.sort(x), edges) == rep
 
-    def test_ks_evaluates_the_approximate_cdf_at_few_points(
-            self, monkeypatch):
+    def test_ks_evaluates_the_cdf_at_few_points(self, monkeypatch):
         arr = np.sort(_engine_deviates(1_000_000))
         sizes = []
-        approx = stats._approx_normal_cdf
+        cdf_at = stats._normal_cdf_at
 
         def counting(x):
             sizes.append(x.size)
-            return approx(x)
+            return cdf_at(x)
 
-        monkeypatch.setattr(stats, "_approx_normal_cdf", counting)
+        monkeypatch.setattr(stats, "_normal_cdf_at", counting)
         ks_test(arr)
-        assert sum(sizes) < 0.1 * arr.shape[0]
+        assert sum(sizes) < 0.05 * arr.shape[0]
 
     @pytest.mark.parametrize("gate,limit", [(ks_test, 1.5e6),
                                             (moments, 1.2e6)])
